@@ -21,8 +21,15 @@ from scipy.special import jv
 from .signal_core import ParameterError
 
 
-class TruncationError(ValueError):
-    """Raised when the requested order cannot contain the support."""
+class TruncationError(ParameterError):
+    """Raised when a series truncation order cannot contain its support.
+
+    ``suggested_k``, when set, is an order worth retrying with.
+    """
+
+    def __init__(self, msg, suggested_k=None):
+        super().__init__(msg)
+        self.suggested_k = suggested_k
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ def _coeffs_fft(beta_rows: np.ndarray, n_max: int, m: int | None = None) -> np.n
     """
     batch, k_count = beta_rows.shape
     if m is None:
-        m = 1 << int(np.ceil(np.log2(max(8 * n_max, 4 * k_count, 256))))
+        m = _fft_points(n_max, k_count)
     # Harmonic sum via inverse FFT of the (zero-padded) coefficient vector:
     # h(theta) = sum_k c_k e^{jk theta};  phase(theta) = Im h(theta).
     c = np.zeros((batch, m), dtype=np.complex128)
@@ -115,3 +122,8 @@ def _coeffs_fft(beta_rows: np.ndarray, n_max: int, m: int | None = None) -> np.n
     out[:, n_max:] = coef[:, : n_max + 1]
     out[:, :n_max] = coef[:, m - n_max :]
     return out
+
+
+def _fft_points(n_max: int, k_count: int) -> int:
+    """Default FFT length of :func:`_coeffs_fft` for ``k_count`` harmonics."""
+    return 1 << int(np.ceil(np.log2(max(8 * n_max, 4 * k_count, 256))))

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
+from .gbf import TruncationError
 from .signal_core import (
     ParameterError,
     SampledSignal,
@@ -518,14 +519,6 @@ class FourierPhaseModel:
         return self.a0 / 2.0 + np.cos(
             2.0 * np.pi * np.outer(t, k) / self.T
         ) @ self.a_k
-
-
-class TruncationError(ValueError):
-    """Raised when a series truncation order is demonstrably too small."""
-
-    def __init__(self, msg, suggested_k=None):
-        super().__init__(msg)
-        self.suggested_k = suggested_k
 
 
 _K_MAX = 4096

@@ -1,6 +1,7 @@
 """Shared fixtures, plus the acceptance-criteria result summary hook."""
 
 import contextlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,34 @@ def criterion():
         assert ok, detail
 
     return run
+
+
+@pytest.fixture
+def huge_order_sfm():
+    """A valid sfm spec (beta = 5e8) whose closed-form AF would need Bessel
+    orders near 5e8, that is a 2^32-point coefficient FFT."""
+    return {
+        "family": "sfm", "T": 0.5, "f_c": 2000.0, "delta_f": 1000.0,
+        "f_m": 1e-6,
+    }
+
+
+@pytest.fixture
+def no_allocation(monkeypatch):
+    """Fail the test if it reaches the closed-form coefficient FFT or its
+    traced allocations peak above 4 MiB."""
+
+    def refuse(*args, **kwargs):
+        pytest.fail("closed-form coefficient FFT reached")
+
+    monkeypatch.setattr("sonarwave.ambiguity._coeffs_fft", refuse)
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"peak traced allocation {peak} B"
 
 
 @pytest.fixture(scope="session")

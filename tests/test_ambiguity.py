@@ -19,6 +19,7 @@ from sonarwave.ambiguity import (
     sfm_af_closed,
     velocity_from_eta,
 )
+from sonarwave.gbf import TruncationError
 from sonarwave.signal_core import ParameterError, Taper
 from sonarwave.waveforms import WaveformSpec, generate, m_sequence
 
@@ -200,6 +201,18 @@ class TestClosedForms:
     def test_surface_family_check(self):
         with pytest.raises(ParameterError):
             closed_af_surface(LFM, np.array([0.0]), np.array([1.0]))
+
+    def test_nonpositive_eta_rejected(self):
+        for eta in (0.0, -1.0, np.nan):
+            with pytest.raises(ParameterError):
+                sfm_af_closed(self.SFM, 0.0, eta)
+
+    def test_order_cap_refuses_before_allocating(
+        self, huge_order_sfm, no_allocation
+    ):
+        spec = WaveformSpec.from_dict(huge_order_sfm)
+        with pytest.raises(TruncationError, match="cap"):
+            closed_af_surface(spec, np.linspace(-0.1, 0.1, 3), np.ones(1))
 
 
 class TestCutStatistics:

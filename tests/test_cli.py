@@ -222,6 +222,17 @@ class TestErrors:
         path.write_text("{not json")
         assert run(["metrics", "--spec", str(path)]) == 1
 
+    def test_closed_af_order_cap(
+        self, spec_file, tmp_path, capsys, huge_order_sfm, no_allocation
+    ):
+        assert run(
+            ["af", "--spec", spec_file(huge_order_sfm), "--taus=-0.1:0.1:3",
+             "--etas", "1.0", "--closed", "--out", str(tmp_path / "af.csv")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cap" in err
+        assert "Traceback" not in err
+
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 1
 

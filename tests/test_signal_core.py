@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sonarwave import signal_core
 from sonarwave.signal_core import (
     ParameterError,
     SampledSignal,
@@ -164,6 +165,17 @@ class TestResampleScale:
         sig = SampledSignal(sig.samples, sig.sample_rate, t0=-0.25)
         out = resample_scale(sig, 1.25)
         assert out.t0 == pytest.approx(-0.25 / 1.25)
+
+    @pytest.mark.parametrize("eta", [0.7, 1.013, 1.9])
+    def test_blocks_match_one_pass(self, eta, monkeypatch):
+        # Blocking the output samples changes no arithmetic: compare with
+        # the whole signal resampled as one block.
+        sig = cw_signal()
+        blocked = resample_scale(sig, eta).samples
+        monkeypatch.setattr(signal_core, "_BLOCK", len(blocked))
+        np.testing.assert_array_equal(
+            resample_scale(sig, eta).samples, blocked
+        )
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sonarwave
 from sonarwave.signal_core import ParameterError, Taper, spectrum_of
 from sonarwave.waveforms import (
     CodeError,
@@ -448,6 +449,14 @@ class TestFourierPhaseModel:
         with pytest.raises(TruncationError) as exc:
             gsfm_fourier_coeffs(spec, K=16)
         assert exc.value.suggested_k == 32
+
+    def test_truncation_error_is_the_package_one(self):
+        spec = WaveformSpec(
+            family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.9, cycles=40.0
+        )
+        with pytest.raises(sonarwave.TruncationError):
+            gsfm_fourier_coeffs(spec, K=16)
+        assert issubclass(sonarwave.TruncationError, ParameterError)
 
     def test_requires_even_symmetry(self):
         spec = WaveformSpec(
