@@ -21,6 +21,7 @@ from .waveforms import (
     costas_code,
     generate,
     gsfm_fourier_coeffs,
+    harmonic_series,
     is_costas,
     m_sequence,
 )
@@ -30,6 +31,7 @@ from .analysis import (
     bandwidth_98,
     carson_gsfm,
     carson_sfm,
+    closed_spectrum,
     energy_efficiency,
     gsfm_spectrum_closed,
     metrics_report,
@@ -84,6 +86,7 @@ __all__ = [
     "carson_gsfm",
     "carson_sfm",
     "closed_af_surface",
+    "closed_spectrum",
     "compare_af",
     "costas_code",
     "doppler_eta",
@@ -94,6 +97,7 @@ __all__ = [
     "gsfm_af_closed",
     "gsfm_fourier_coeffs",
     "gsfm_spectrum_closed",
+    "harmonic_series",
     "is_costas",
     "m_sequence",
     "mainlobe_width",

@@ -31,7 +31,7 @@ from scipy.signal import fftconvolve
 
 from .gbf import TruncationError, _coeffs_fft, _fft_points
 from .signal_core import ParameterError, SampledSignal, resample_scale
-from .waveforms import FourierPhaseModel, WaveformSpec, gsfm_fourier_coeffs
+from .waveforms import FourierPhaseModel, WaveformSpec, harmonic_series
 
 DEFAULT_SOUND_SPEED = 1500.0
 
@@ -401,32 +401,22 @@ def _series_sum(g1, g2, x, y, t1, t2) -> np.ndarray:
     return split / 2j + exact
 
 
-def _sfm_support(spec: WaveformSpec):
-    if spec.symmetry == "even":
-        return -spec.T / 2.0, spec.T / 2.0
-    return 0.0, spec.T
+def _closed_af(spec: WaveformSpec, model: FourierPhaseModel | None, tau, eta):
+    """Closed-form |chi| at broadcast (tau, eta) for any closed-form spec."""
+    series = harmonic_series(spec, model)
+    tau_b, eta_b = np.broadcast_arrays(
+        np.asarray(tau, dtype=float), np.asarray(eta, dtype=float)
+    )
+    out = _closed_af_points(*series, tau_b.ravel(), eta_b.ravel())
+    out = out.reshape(tau_b.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def sfm_af_closed(spec: WaveformSpec, tau, eta):
     """Bessel-series SFM ambiguity magnitude at (tau, eta), broadcastable."""
     if spec.family != "sfm":
         raise ParameterError("sfm_af_closed requires family sfm")
-    if spec.taper.kind != "rectangular":
-        raise ParameterError("closed-form AF assumes rectangular taper")
-    tau_b, eta_b = np.broadcast_arrays(
-        np.asarray(tau, dtype=float), np.asarray(eta, dtype=float)
-    )
-    ta, tb = _sfm_support(spec)
-    out = _closed_af_points(
-        np.array([spec.beta]),
-        spec.f_m,
-        spec.f_c,
-        ta,
-        tb,
-        tau_b.ravel(),
-        eta_b.ravel(),
-    ).reshape(tau_b.shape)
-    return float(out) if out.ndim == 0 else out
+    return _closed_af(spec, None, tau, eta)
 
 
 def gsfm_af_closed(
@@ -435,25 +425,7 @@ def gsfm_af_closed(
     """Generalized-Bessel-series gsfm ambiguity magnitude, broadcastable."""
     if spec.family != "gsfm":
         raise ParameterError("gsfm_af_closed requires family gsfm")
-    if spec.symmetry != "even":
-        raise ParameterError("closed-form AF is derived for even symmetry")
-    if spec.taper.kind != "rectangular":
-        raise ParameterError("closed-form AF assumes rectangular taper")
-    if model is None:
-        model = gsfm_fourier_coeffs(spec)
-    tau_b, eta_b = np.broadcast_arrays(
-        np.asarray(tau, dtype=float), np.asarray(eta, dtype=float)
-    )
-    out = _closed_af_points(
-        model.beta_k,
-        1.0 / spec.T,
-        spec.f_c + model.center_shift,
-        -spec.T / 2.0,
-        spec.T / 2.0,
-        tau_b.ravel(),
-        eta_b.ravel(),
-    ).reshape(tau_b.shape)
-    return float(out) if out.ndim == 0 else out
+    return _closed_af(spec, model, tau, eta)
 
 
 def closed_af_surface(
@@ -463,19 +435,11 @@ def closed_af_surface(
     c: float = DEFAULT_SOUND_SPEED,
     model: FourierPhaseModel | None = None,
 ) -> AmbiguitySurface:
-    """Full closed-form surface for an SFM or gsfm spec."""
+    """Full closed-form surface for a rectangular sfm or even gsfm spec."""
     delays = np.asarray(delays, dtype=float)
     etas = np.asarray(etas, dtype=float)
     tt, ee = np.meshgrid(delays, etas)
-    if spec.family == "sfm":
-        mag = sfm_af_closed(spec, tt, ee)
-    elif spec.family == "gsfm":
-        mag = gsfm_af_closed(spec, model, tt, ee)
-    else:
-        raise ParameterError(
-            "closed-form surfaces exist only for sfm and gsfm"
-        )
-    values = mag**2
+    values = _closed_af(spec, model, tt, ee) ** 2
     peak = values.max()
     if peak > 0:
         values = values / peak

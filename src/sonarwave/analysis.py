@@ -18,7 +18,7 @@ from .waveforms import (
     FourierPhaseModel,
     WaveformSpec,
     generate,
-    gsfm_fourier_coeffs,
+    harmonic_series,
 )
 
 
@@ -121,41 +121,44 @@ def carson_gsfm(
     return delta_f + 2.0 * alpha * rho * t_eff ** (rho - 1.0)
 
 
-def _sinc_series_spectrum(
-    coeffs: np.ndarray,
-    orders: np.ndarray,
-    line_spacing: float,
-    f_center: float,
-    T: float,
+def closed_spectrum(
+    spec: WaveformSpec,
     freqs: np.ndarray,
-) -> np.ndarray:
-    """sqrt(T) sum_n c_n sinc(pi T (f - f_center - n * line_spacing))."""
-    # np.sinc(x) = sin(pi x)/(pi x); our argument is pi T (...) so divide by pi.
-    arg = T * (freqs[None, :] - f_center - orders[:, None] * line_spacing)
-    return np.sqrt(T) * (coeffs[:, None] * np.sinc(arg)).sum(axis=0)
+    model: FourierPhaseModel | None = None,
+) -> Spectrum:
+    """Bessel-series spectrum of a rectangular sfm or even gsfm spec.
 
+    With :func:`harmonic_series`' pulse, sum_n c_n exp(2j pi f_n t) on
+    [ta, tb] with lines f_n = fc_eff + n f0,
 
-def _check_grid(freqs: np.ndarray, T: float):
-    df = freqs[1] - freqs[0]
+        S(f) = sqrt(T) sum_n c_n sinc(T (f - f_n)) exp(-j pi (f - f_n)(ta + tb)).
+
+    The support-midpoint phase splits into one factor per line and one per
+    frequency, and is 1 for the even (centered) support.
+    """
+    betas, f0, fc_eff, ta, tb = harmonic_series(spec, model)
+    freqs = np.asarray(freqs, dtype=float)
+    T = spec.T
+    df = float(freqs[1] - freqs[0])
     if df > 1.0 / (4.0 * T):
         raise ParameterError(
             "frequency grid too coarse: need at least 4 points per 1/T"
         )
+    c = gbf_coeffs(betas)
+    orders = c.orders.astype(float)
+    lines = c.values * np.exp(1j * np.pi * (ta + tb) * f0 * orders)
+    # np.sinc(x) = sin(pi x)/(pi x), so its argument is T (f - f_n).
+    arg = T * (freqs[None, :] - fc_eff - orders[:, None] * f0)
+    vals = np.sqrt(T) * (lines[:, None] * np.sinc(arg)).sum(axis=0)
+    vals *= np.exp(-1j * np.pi * (ta + tb) * (freqs - fc_eff))
+    return Spectrum(freqs=freqs, values=vals, df=df)
 
 
 def sfm_spectrum_closed(spec: WaveformSpec, freqs: np.ndarray) -> Spectrum:
     """Bessel-series SFM spectrum on the given frequency grid."""
     if spec.family != "sfm":
         raise ParameterError("sfm_spectrum_closed requires family sfm")
-    if spec.taper.kind != "rectangular":
-        raise ParameterError("closed-form spectrum assumes rectangular taper")
-    freqs = np.asarray(freqs, dtype=float)
-    _check_grid(freqs, spec.T)
-    c = gbf_coeffs([spec.beta])
-    vals = _sinc_series_spectrum(
-        c.values, c.orders.astype(float), spec.f_m, spec.f_c, spec.T, freqs
-    )
-    return Spectrum(freqs=freqs, values=vals, df=float(freqs[1] - freqs[0]))
+    return closed_spectrum(spec, freqs)
 
 
 def gsfm_spectrum_closed(
@@ -166,24 +169,7 @@ def gsfm_spectrum_closed(
     """Generalized-Bessel-series gsfm spectrum on the given grid."""
     if spec.family != "gsfm":
         raise ParameterError("gsfm_spectrum_closed requires family gsfm")
-    if spec.symmetry != "even":
-        raise ParameterError("closed form is derived for even symmetry")
-    if spec.taper.kind != "rectangular":
-        raise ParameterError("closed-form spectrum assumes rectangular taper")
-    if model is None:
-        model = gsfm_fourier_coeffs(spec)
-    freqs = np.asarray(freqs, dtype=float)
-    _check_grid(freqs, spec.T)
-    c = gbf_coeffs(model.beta_k)
-    vals = _sinc_series_spectrum(
-        c.values,
-        c.orders.astype(float),
-        1.0 / spec.T,
-        spec.f_c + model.center_shift,
-        spec.T,
-        freqs,
-    )
-    return Spectrum(freqs=freqs, values=vals, df=float(freqs[1] - freqs[0]))
+    return closed_spectrum(spec, freqs, model)
 
 
 def energy_efficiency(e_w: float, e_ref: float) -> float:

@@ -141,14 +141,7 @@ def _cmd_spectrum(args) -> int:
         # Dense enough for the closed form's sinc structure (df << 1/T).
         nfft = 1 << int(np.ceil(np.log2(8 * len(sig.samples))))
         freqs = np.arange(nfft) * sig.sample_rate / nfft
-        if spec.family == "sfm":
-            sp = analysis.sfm_spectrum_closed(spec, freqs)
-        elif spec.family == "gsfm":
-            sp = analysis.gsfm_spectrum_closed(spec, freqs)
-        else:
-            raise ParameterError(
-                f"family {spec.family!r} has no closed-form spectrum"
-            )
+        sp = analysis.closed_spectrum(spec, freqs)
     else:
         sp = spectrum_of(generate(spec))
     sel = np.ones(len(sp.freqs), dtype=bool)

@@ -85,9 +85,6 @@ class SampledSignal:
     def energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2) / self.sample_rate)
 
-    def real_signal(self) -> np.ndarray:
-        return self.samples.real.copy()
-
     def normalized(self) -> "SampledSignal":
         """Unit-energy copy (discrete energy 1 within 1e-9 relative)."""
         e = self.energy

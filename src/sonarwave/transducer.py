@@ -2,7 +2,8 @@
 
 Models a resonant projector/receive chain as a frequency response, drives
 peak-normalized waveforms through it, and evaluates the resulting replica
-waveforms ("TRW"s) for energy efficiency and ambiguity-shape fidelity.
+waveforms ("TRW"s) for energy efficiency.  Their ambiguity-shape fidelity
+is measured with :func:`sonarwave.ambiguity.compare_af`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.signal import hilbert
 
-from .ambiguity import compare_af  # re-exported: part of this module's API
 from .analysis import energy_efficiency
 from .signal_core import ParameterError, SampledSignal
 from .waveforms import WaveformSpec, generate
@@ -28,7 +28,6 @@ __all__ = [
     "apply_response",
     "peak_normalized",
     "trw_report",
-    "compare_af",
 ]
 
 # Out-of-band magnitude slope, dB per octave.

@@ -13,6 +13,8 @@ parameter.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -61,6 +63,15 @@ class WaveformSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}")
+        for name in ("T", "f_c", "delta_f", "f_m", "rho", "alpha", "cycles",
+                     "sample_rate"):
+            value = getattr(self, name)
+            if value is not None and not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise ParameterError(
+                    f"{name} must be finite and a number, got {value!r}"
+                )
         if self.T <= 0:
             raise ParameterError("T must be positive")
         if self.f_c <= 0:
@@ -583,4 +594,33 @@ def gsfm_fourier_coeffs(spec: WaveformSpec, K: int | None = None) -> FourierPhas
         K=K,
         T=spec.T,
         delta_f=spec.delta_f,
+    )
+
+
+def harmonic_series(
+    spec: WaveformSpec, model: FourierPhaseModel | None = None
+) -> tuple[np.ndarray, float, float, float, float]:
+    """Harmonic-phase model behind the Bessel-series closed forms.
+
+    Returns ``(betas, f0, fc_eff, ta, tb)``: the waveform is a rectangular
+    pulse on [ta, tb] with phase
+    ``2 pi fc_eff t + sum_k betas[k-1] sin(2 pi k f0 t)``.  The rectangular
+    sfm (either symmetry) is the one-harmonic case at f0 = f_m; the
+    rectangular even gsfm is its Fourier phase model (``model``, built when
+    not given) at f0 = 1/T.  This is the one place that decides which specs
+    have closed forms; every other spec raises :class:`ParameterError`.
+    """
+    if spec.taper.kind != "rectangular":
+        raise ParameterError("closed-form series assume a rectangular taper")
+    if spec.family == "sfm":
+        ta = -spec.T / 2.0 if spec.symmetry == "even" else 0.0
+        return np.array([spec.beta]), spec.f_m, spec.f_c, ta, ta + spec.T
+    if spec.family == "gsfm" and spec.symmetry == "even":
+        if model is None:
+            model = gsfm_fourier_coeffs(spec)
+        return (model.beta_k, 1.0 / spec.T, spec.f_c + model.center_shift,
+                -spec.T / 2.0, spec.T / 2.0)
+    raise ParameterError(
+        f"no closed-form series for {spec.family} with {spec.symmetry} "
+        "symmetry: only rectangular sfm and even gsfm have one"
     )

@@ -192,6 +192,16 @@ class TestClosedForms:
         closed = sfm_af_closed(self.SFM, taus, np.full_like(taus, eta))
         assert np.max(np.abs(closed - numeric)) < 0.02
 
+    def test_nonsymmetric_sfm_matches_numeric(self):
+        spec = WaveformSpec(family="sfm", T=T, f_c=FC, delta_f=DF, f_m=9.0,
+                            symmetry="nonsymmetric")
+        sig = generate(spec)
+        taus = np.linspace(-0.2, 0.2, 41)
+        for eta in (1.0, doppler_eta(5.0)):
+            numeric = _cross_ambiguity_row(sig, eta, taus)
+            closed = sfm_af_closed(spec, taus, np.full_like(taus, eta))
+            assert np.max(np.abs(closed - numeric)) < 0.02
+
     def test_taper_rejected(self):
         spec = WaveformSpec(family="sfm", T=T, f_c=FC, delta_f=DF, f_m=10.0,
                             taper=Taper("tukey", 0.1))

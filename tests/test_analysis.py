@@ -208,11 +208,16 @@ class TestClosedSpectra:
         expect = np.sqrt(T) * np.sinc(T * (freqs - FC))
         np.testing.assert_allclose(sp.values, expect, atol=1e-10)
 
-    def test_sfm_matches_fft(self):
-        sig = generate(SFM_SPEC)
-        fft = spectrum_of(sig, nfft=1 << 18)
+    @pytest.mark.parametrize("f_m", [10.0, 9.0, 10.5])
+    @pytest.mark.parametrize("symmetry", ["even", "nonsymmetric"])
+    def test_sfm_matches_fft(self, symmetry, f_m):
+        # A nonsymmetric pulse lives on [0, T], which gives each spectral
+        # line its own phase; non-integer f_m T varies that phase further.
+        spec = WaveformSpec(family="sfm", T=T, f_c=FC, delta_f=DF, f_m=f_m,
+                            symmetry=symmetry)
+        fft = spectrum_of(generate(spec), nfft=1 << 18)
         sel = np.abs(fft.freqs - FC) < 1500.0
-        closed = sfm_spectrum_closed(SFM_SPEC, fft.freqs[sel])
+        closed = sfm_spectrum_closed(spec, fft.freqs[sel])
         assert rel_l2(np.abs(closed.values), np.abs(fft.values[sel])) < 1e-3
 
     def test_sfm_line_spacing(self):
@@ -261,6 +266,12 @@ class TestClosedSpectra:
     def test_wrong_family(self):
         with pytest.raises(ParameterError):
             gsfm_spectrum_closed(SFM_SPEC, self.band_grid())
+
+    def test_nonsymmetric_gsfm_has_no_closed_form(self):
+        spec = WaveformSpec(family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.0,
+                            cycles=7.0, symmetry="nonsymmetric")
+        with pytest.raises(ParameterError, match="closed-form"):
+            gsfm_spectrum_closed(spec, self.band_grid())
 
 
 # ----------------------------------------------------------------------

@@ -214,6 +214,15 @@ class TestErrors:
         ) == 1
         assert "rho_" in capsys.readouterr().err
 
+    def test_non_finite_spec_field(self, spec_file, tmp_path, capsys):
+        bad = {"family": "cw", "T": float("nan"), "f_c": 2000.0}
+        assert run(
+            ["gen", "--spec", spec_file(bad), "--out", str(tmp_path / "x.csv")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "T must be finite" in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         assert run(["metrics", "--spec", str(tmp_path / "nope.json")]) == 1
 

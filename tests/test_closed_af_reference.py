@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from sonarwave.ambiguity import _PRUNE, _closed_af_points, doppler_eta
 from sonarwave.gbf import _coeffs_fft
-from sonarwave.waveforms import WaveformSpec, gsfm_fourier_coeffs
+from sonarwave.waveforms import WaveformSpec, harmonic_series
 
 RTOL = 1e-10
 
@@ -71,16 +71,6 @@ def _tensor_af_points(betas, f0, fc_eff, ta, tb, taus, etas):
     return out
 
 
-def _series_args(spec):
-    """(betas, f0, fc_eff, ta, tb) as sfm_af_closed / gsfm_af_closed pass."""
-    if spec.family == "sfm":
-        ta = -spec.T / 2.0 if spec.symmetry == "even" else 0.0
-        return np.array([spec.beta]), spec.f_m, spec.f_c, ta, ta + spec.T
-    model = gsfm_fourier_coeffs(spec)
-    return (model.beta_k, 1.0 / spec.T, spec.f_c + model.center_shift,
-            -spec.T / 2.0, spec.T / 2.0)
-
-
 def _grid(T, v):
     """Delays across +-T, including next to +-T; eta = 1 and eta(+-v)."""
     taus = T * np.array(
@@ -91,7 +81,7 @@ def _grid(T, v):
 
 
 def _assert_matches_reference(spec, v):
-    args = _series_args(spec)
+    args = harmonic_series(spec)
     taus, etas = _grid(spec.T, v)
     tt, ee = (a.ravel() for a in np.meshgrid(taus, etas))
     ref = _tensor_af_points(*args, tt, ee)

@@ -91,6 +91,15 @@ class TestWaveformSpec:
         with pytest.raises(ParameterError):
             WaveformSpec(family="pm", T=T, f_c=FC)
 
+    @pytest.mark.parametrize("field", ["T", "f_c", "delta_f", "f_m", "rho",
+                                       "alpha", "sample_rate"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), "0.5"])
+    def test_float_fields_must_be_finite_numbers(self, field, value):
+        good = dict(family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.0,
+                    alpha=14.0)
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            WaveformSpec(**dict(good, **{field: value}))
+
 
 # ----------------------------------------------------------------------
 # Generators
