@@ -11,12 +11,9 @@ forms that this module evaluates through the same coefficient machinery.
 
 The closed form is a double series over Bessel orders (n, m) of terms
 g1_n g2_m int exp(2j pi mu_nm t) dt over the support overlap [t1, t2],
-where mu_nm = x_n - y_m separates into one frequency per order.  Each
-integral splits at its endpoints into (e(t2) - e(t1)) / (2j pi mu_nm)
-(the Cauchy split), so one Doppler row is a single real matrix product
-with the kernel 1 / (pi mu_nm), shared by all of the row's delays.  Order
-pairs with mu_nm near 0, where the two endpoint terms would cancel, are
-left out of the kernel and summed as exact sinc terms instead.
+where mu_nm = x_n - y_m separates into one frequency per order.  It is
+summed by :func:`sonarwave.gbf._series_sum`, the evaluator the closed
+spectra share, as one real matrix product per Doppler row.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from typing import NamedTuple, Union
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .gbf import TruncationError, _coeffs_fft, _fft_points
+from .gbf import _CHUNK_BYTES, _series_sum, gbf_coeffs
 from .signal_core import ParameterError, SampledSignal, resample_scale
 from .waveforms import FourierPhaseModel, WaveformSpec, harmonic_series
 
@@ -238,26 +235,8 @@ def acf(sig: SampledSignal, delays) -> AmbiguityCut:
 # Closed-form series
 # ----------------------------------------------------------------------
 
-# Memory bound for every temporary of the closed-form series sum.
-_CHUNK_BYTES = 1 << 26
-
-
 # Coefficients below this magnitude are dropped from the double series.
 _PRUNE = 1e-8
-
-# Order pairs with |mu| * (longest overlap in the batch) below this bypass the
-# Cauchy kernel and are summed as exact sinc terms.  The kernel's two
-# endpoint terms cancel as mu -> 0, losing about eps / (pi |mu| L) per term,
-# so this keeps the loss near 1e-13 of the batch's largest overlap.
-_SINGULAR = 1e-3
-
-# Largest Bessel order the closed form accepts.  The biggest order bound met
-# so far is 1072 (benchmark af-closed and af-numeric pools, seeds 1-10; the
-# specs/ corpus peaks at 353), so 2^14 leaves 15x headroom.  At the cap one
-# delay already costs about 4 * (2^15)^2 = 4e9 flops per Doppler row, so a
-# larger order is a pathological spec (say an sfm with f_m near 0): refusing
-# it up front keeps the coefficient FFT from asking for gigabytes.
-_N_MAX_CAP = 1 << 14
 
 
 def _closed_af_points(
@@ -273,132 +252,49 @@ def _closed_af_points(
 
     The waveform model is a rectangular pulse on [ta, tb] with phase
     ``2 pi fc_eff t + sum_k betas[k-1] sin(2 pi k f0 t)``.  Both factors of
-    the ambiguity integrand are expanded in generalized-Bessel harmonic
-    series -- the Doppler-scaled one with per-harmonic phase offsets
-    ``2 pi k f0 eta tau`` -- so that
+    the ambiguity integrand expand in its generalized-Bessel series g_n --
+    the Doppler-scaled one shifted in time by tau -- so that
 
-        chi = sqrt(eta) / T * sum_nm g1_n g2_m int_t1^t2 exp(2j pi mu_nm t) dt
+        chi = sqrt(eta) / T * sum_nm g_n g2_m int_t1^t2 exp(2j pi mu_nm t) dt
 
-    over the exact support overlap [t1, t2], with mu_nm = x_n - y_m,
-    x_n = fc_eff (1 - eta) + f0 n and y_m = f0 eta m.  No narrowband
-    approximation is made, so the series is exact up to coefficient
-    truncation.
-
-    Cauchy split: each integral is (e(t2) - e(t1)) / (2j pi mu_nm), and
-    e(t) = exp(2j pi x_n t) exp(-2j pi y_m t) factors by order, so per
-    delay the double sum is
-
-        (1/2j) [A(t2) C B(t2) - A(t1) C B(t1)],
-        A_n(t) = g1_n exp(2j pi x_n t),  B_m(t) = g2_m exp(-2j pi y_m t),
-
-    with the real kernel C_nm = 1 / (pi mu_nm) shared by every delay of one
-    Doppler scale.  A batch of delays therefore costs one real matrix
-    product: the real and imaginary parts of both left factors, stacked,
-    times C.  Pairs with |mu_nm| times the batch's longest overlap below
-    ``_SINGULAR`` (the eta = 1 diagonal, and any near-coincident lines)
-    get C = 0 and are added as exact sinc terms instead.  Delays are
-    batched and C is built in blocks of orders n so that no temporary
-    exceeds ``_CHUNK_BYTES``.
+    with g2_m = conj(g_m) exp(-2j pi f0 eta tau m), over the exact support
+    overlap [t1, t2], with mu_nm = x_n - y_m, x_n = fc_eff (1 - eta) + f0 n
+    and y_m = f0 eta m.  No narrowband approximation is made, so the series
+    is exact up to coefficient truncation; :func:`sonarwave.gbf._series_sum`
+    evaluates it.
 
     Raises :class:`TruncationError` before any allocation when the
-    coefficients need orders beyond ``_N_MAX_CAP``.
+    coefficients need orders beyond the truncation rule's cap.
     """
     T = tb - ta
     taus = np.asarray(taus, dtype=float).ravel()
     etas = np.asarray(etas, dtype=float).ravel()
     if not np.all(etas > 0):
         raise ParameterError("Doppler scales eta must be positive")
-    k = np.arange(1, len(betas) + 1)
-
-    # Start from the first-order support estimate and double until the
-    # coefficient normalization confirms the tail is captured.
-    weight = float(np.sum(k * np.abs(betas)))
-    n_max = int(np.ceil(weight + 3.0 * np.cbrt(weight))) + 40
-    while n_max <= _N_MAX_CAP:
-        g1 = _coeffs_fft(betas.astype(np.complex128)[None, :], n_max)[0]
-        if abs(np.sum(np.abs(g1) ** 2) - 1.0) < 1e-10:
-            break
-        n_max *= 2
-    else:
-        raise TruncationError(
-            f"closed-form AF needs Bessel orders up to {n_max}, beyond the "
-            f"cap of {_N_MAX_CAP}"
-        )
-    orders = np.arange(-n_max, n_max + 1)
-    keep_n = np.abs(g1) > _PRUNE
-    g1 = g1[keep_n]
-    n_ord = orders[keep_n].astype(float)
+    c = gbf_coeffs(betas)
+    keep = np.abs(c.values) > _PRUNE
+    g = c.values[keep]
+    orders = c.orders[keep].astype(float)
 
     # Exact support overlap of s(t) and s(eta (t + tau)).
     t1 = np.maximum(ta, ta / etas - taus)
     t2 = np.minimum(tb, tb / etas - taus)
     length = np.maximum(t2 - t1, 0.0)
 
-    # Delays per batch: the batch's coefficient FFT, its largest array,
-    # stays within the memory bound.
-    batch = max(_CHUNK_BYTES // (16 * _fft_points(n_max, len(betas))), 1)
+    # Delays per batch: the series sum's (delays x orders) arrays stay
+    # within the memory bound.
+    batch = max(_CHUNK_BYTES // (32 * len(g)), 1)
     out = np.zeros(len(taus))
     for eta in np.unique(etas):
         rows = np.nonzero((etas == eta) & (length > 0))[0]
-        x = fc_eff * (1.0 - eta) + f0 * n_ord
+        x = fc_eff * (1.0 - eta) + f0 * orders
+        y = f0 * eta * orders
         for lo in range(0, len(rows), batch):
             sel = rows[lo : lo + batch]
-            # Harmonic series of the Doppler-scaled factor: phase offsets
-            # k * 2 pi f0 eta tau fold into complex harmonic amplitudes.
-            psi = 2.0 * np.pi * f0 * eta * np.outer(taus[sel], k)
-            g2 = _coeffs_fft(betas[None, :] * np.exp(1j * psi), n_max)
-            keep_m = np.max(np.abs(g2), axis=0) > _PRUNE
-            g2 = np.conj(g2[:, keep_m])
-            y = f0 * eta * orders[keep_m]
-            chi = _series_sum(g1, g2, x, y, t1[sel], t2[sel])
-            out[sel] = np.sqrt(eta) * np.abs(chi) / T
+            g2 = np.conj(g) * np.exp(-2j * np.pi * np.outer(taus[sel], y))
+            terms = _series_sum(g, g2, x, y, t1[sel], t2[sel])
+            out[sel] = np.sqrt(eta) * np.abs(terms.sum(axis=1)) / T
     return out
-
-
-def _series_sum(g1, g2, x, y, t1, t2) -> np.ndarray:
-    """sum_nm g1_n g2_pm int_t1p^t2p exp(2j pi (x_n - y_m) t) dt, per delay p.
-
-    See :func:`_closed_af_points` for the Cauchy split and the
-    singular-pair rule.
-    """
-    p_count, m_count = g2.shape
-    length = t2 - t1
-    center = 0.5 * (t1 + t2)
-    # Endpoint factors, indexed (end, delay, order) with end 0 at t2 and
-    # end 1 at t1; the left ones as one real (4P x N) matrix.
-    ends = np.stack([t2, t1])[:, :, None]
-    a = g1 * np.exp(2j * np.pi * ends * x)
-    right = g2 * np.exp(-2j * np.pi * ends * y)
-    left = np.stack([a.real, a.imag], axis=1).reshape(4 * p_count, len(x))
-    split = np.zeros(p_count, dtype=np.complex128)
-    exact = np.zeros(p_count, dtype=np.complex128)
-    near = _SINGULAR / np.max(length)
-    step = max(_CHUNK_BYTES // (8 * m_count), 1)
-    pairs = max(_CHUNK_BYTES // (16 * p_count), 1)
-    for n0 in range(0, len(x), step):
-        # Singular pairs: x and y ascend, so each x_n meets one run of y_m.
-        xb = x[n0 : n0 + step]
-        lo = np.searchsorted(y, xb - near, side="right")
-        count = np.searchsorted(y, xb + near, side="left") - lo
-        ni = np.repeat(np.arange(len(xb)), count)
-        mj = np.arange(len(ni)) + np.repeat(lo - np.cumsum(count) + count, count)
-        # Cauchy kernel 1 / (pi mu), built in place; singular pairs -> 0.
-        kern = xb[:, None] - y[None, :]
-        kern[ni, mj] = np.inf
-        np.divide(1.0 / np.pi, kern, out=kern)
-        prod = (left[:, n0 : n0 + step] @ kern).reshape(2, 2, p_count, m_count)
-        at_end = np.einsum("epm,epm->ep", prod[:, 0] + 1j * prod[:, 1], right)
-        split += at_end[0] - at_end[1]
-        # Exact sinc terms of the singular pairs, in memory-bounded slices.
-        ni += n0
-        for s0 in range(0, len(ni), pairs):
-            n_s, m_s = ni[s0 : s0 + pairs], mj[s0 : s0 + pairs]
-            mu = x[n_s] - y[m_s]
-            terms = g1[n_s] * g2[:, m_s] * np.sinc(np.outer(length, mu))
-            exact += length * np.einsum(
-                "ps,ps->p", terms, np.exp(2j * np.pi * np.outer(center, mu))
-            )
-    return split / 2j + exact
 
 
 def _closed_af(spec: WaveformSpec, model: FourierPhaseModel | None, tau, eta):

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gbf import gbf_coeffs
+from .gbf import _series_sum, gbf_coeffs
 from .signal_core import ParameterError, SampledSignal, Spectrum, spectrum_of
 from .waveforms import (
     FourierPhaseModel,
@@ -131,27 +131,28 @@ def closed_spectrum(
     With :func:`harmonic_series`' pulse, sum_n c_n exp(2j pi f_n t) on
     [ta, tb] with lines f_n = fc_eff + n f0,
 
-        S(f) = sqrt(T) sum_n c_n sinc(T (f - f_n)) exp(-j pi (f - f_n)(ta + tb)).
+        S(f) = T^-1/2 sum_n c_n int_ta^tb exp(2j pi (f_n - f) t) dt,
 
-    The support-midpoint phase splits into one factor per line and one per
-    frequency, and is 1 for the even (centered) support.
+    the AF's series sum (:func:`sonarwave.gbf._series_sum`) over the one
+    interval [ta, tb] with unit right-hand coefficients at ``freqs``, which
+    must ascend with at least 4 points per 1/T.
     """
     betas, f0, fc_eff, ta, tb = harmonic_series(spec, model)
+    c = gbf_coeffs(betas)
     freqs = np.asarray(freqs, dtype=float)
     T = spec.T
-    df = float(freqs[1] - freqs[0])
-    if df > 1.0 / (4.0 * T):
+    if (freqs.ndim != 1 or len(freqs) < 2 or not np.all(np.diff(freqs) > 0)
+            or freqs[1] - freqs[0] > 1.0 / (4.0 * T)):
         raise ParameterError(
-            "frequency grid too coarse: need at least 4 points per 1/T"
+            "frequency grid must be 1-D and ascending, with at least 4 "
+            "points per 1/T"
         )
-    c = gbf_coeffs(betas)
-    orders = c.orders.astype(float)
-    lines = c.values * np.exp(1j * np.pi * (ta + tb) * f0 * orders)
-    # np.sinc(x) = sin(pi x)/(pi x), so its argument is T (f - f_n).
-    arg = T * (freqs[None, :] - fc_eff - orders[:, None] * f0)
-    vals = np.sqrt(T) * (lines[:, None] * np.sinc(arg)).sum(axis=0)
-    vals *= np.exp(-1j * np.pi * (ta + tb) * (freqs - fc_eff))
-    return Spectrum(freqs=freqs, values=vals, df=df)
+    vals = _series_sum(
+        c.values, np.ones((1, len(freqs))), fc_eff + f0 * c.orders, freqs,
+        np.array([ta]), np.array([tb]),
+    )[0]
+    return Spectrum(freqs=freqs, values=vals / np.sqrt(T),
+                    df=float(freqs[1] - freqs[0]))
 
 
 def sfm_spectrum_closed(spec: WaveformSpec, freqs: np.ndarray) -> Spectrum:

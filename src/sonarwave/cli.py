@@ -93,13 +93,16 @@ def read_signal_csv(path) -> SampledSignal:
     )
 
 
-def _json_dump(obj, path) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True)
+def _write_text(text: str, path) -> None:
     if path is None:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+
+
+def _json_dump(obj, path) -> None:
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _write_rows_csv(rows: list[dict], fields: list[str], path) -> None:
@@ -109,12 +112,7 @@ def _write_rows_csv(rows: list[dict], fields: list[str], path) -> None:
     lines = [",".join(fields)]
     for r in rows:
         lines.append(",".join(str(fmt(r.get(f))) for f in fields))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    _write_text("\n".join(lines) + "\n", path)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +138,9 @@ def _cmd_spectrum(args) -> int:
         sig = generate(spec)
         # Dense enough for the closed form's sinc structure (df << 1/T).
         nfft = 1 << int(np.ceil(np.log2(8 * len(sig.samples))))
-        freqs = np.arange(nfft) * sig.sample_rate / nfft
+        # In place: one grid-sized array when a series is refused.
+        freqs = np.arange(nfft, dtype=float)
+        freqs *= sig.sample_rate / nfft
         sp = analysis.closed_spectrum(spec, freqs)
     else:
         sp = spectrum_of(generate(spec))
@@ -149,12 +149,9 @@ def _cmd_spectrum(args) -> int:
         sel &= sp.freqs >= args.fmin
     if args.fmax is not None:
         sel &= sp.freqs <= args.fmax
-    db = sp.power_db()
-    rows = [
-        {"f": float(f), "psd_db": float(d)}
-        for f, d in zip(sp.freqs[sel], db[sel])
-    ]
-    _write_rows_csv(rows, ["f", "psd_db"], args.out)
+    pairs = zip(sp.freqs[sel].tolist(), sp.power_db()[sel].tolist())
+    _write_text("f,psd_db\n" + "".join(f"{f!r},{d!r}\n" for f, d in pairs),
+                args.out)
     return 0
 
 

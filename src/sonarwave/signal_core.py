@@ -7,6 +7,7 @@ requires it (PAPR, transducer drive).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
@@ -38,9 +39,11 @@ class Taper:
     def __post_init__(self):
         if self.kind not in ("rectangular", "tukey", "hann"):
             raise ParameterError(f"unknown taper kind {self.kind!r}")
-        if not 0.0 <= self.shape_param <= 1.0:
+        if not (isinstance(self.shape_param, numbers.Real)
+                and 0.0 <= self.shape_param <= 1.0):
             raise ParameterError(
-                f"taper shape_param must be in [0, 1], got {self.shape_param}"
+                "taper shape_param must be a number in [0, 1], got "
+                f"{self.shape_param!r}"
             )
         if self.scope not in ("whole-pulse", "per-chip"):
             raise ParameterError(f"unknown taper scope {self.scope!r}")

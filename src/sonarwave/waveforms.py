@@ -104,6 +104,11 @@ class WaveformSpec:
         if self.family == "sfm" and self.f_m <= 0:
             raise ParameterError("sfm requires f_m > 0")
         if self.code is not None:
+            if not (np.iterable(self.code) and all(
+                    isinstance(c, numbers.Integral) for c in self.code)):
+                raise ParameterError(
+                    f"code must be a sequence of integers, got {self.code!r}"
+                )
             object.__setattr__(self, "code", tuple(int(c) for c in self.code))
             if self.n_chips == 0:
                 object.__setattr__(self, "n_chips", len(self.code))
@@ -141,8 +146,6 @@ class WaveformSpec:
             if tk:
                 raise ParameterError(f"unknown taper field(s): {sorted(tk)}")
             taper = Taper(**taper_d)
-        if d.get("code") is not None:
-            d["code"] = tuple(d["code"])
         return cls(taper=taper, **d)
 
     def to_dict(self) -> dict:

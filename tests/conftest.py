@@ -53,7 +53,7 @@ def criterion():
 
 @pytest.fixture
 def huge_order_sfm():
-    """A valid sfm spec (beta = 5e8) whose closed-form AF would need Bessel
+    """A valid sfm spec (beta = 5e8) whose closed forms would need Bessel
     orders near 5e8, that is a 2^32-point coefficient FFT."""
     return {
         "family": "sfm", "T": 0.5, "f_c": 2000.0, "delta_f": 1000.0,
@@ -69,7 +69,7 @@ def no_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         pytest.fail("closed-form coefficient FFT reached")
 
-    monkeypatch.setattr("sonarwave.ambiguity._coeffs_fft", refuse)
+    monkeypatch.setattr("sonarwave.gbf._coeffs_fft", refuse)
     tracemalloc.start()
     try:
         yield

@@ -1,6 +1,7 @@
 """Tests for scalar metrics, Carson rules, closed spectra, and the sweep."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sonarwave.analysis import (
     bandwidth_98,
     carson_gsfm,
     carson_sfm,
+    closed_spectrum,
     energy_efficiency,
     gsfm_spectrum_closed,
     metrics_report,
@@ -18,6 +20,7 @@ from sonarwave.analysis import (
     sfm_spectrum_closed,
     spectral_efficiency,
 )
+from sonarwave.gbf import _CHUNK_BYTES, TruncationError
 from sonarwave.signal_core import (
     ParameterError,
     SampledSignal,
@@ -256,6 +259,43 @@ class TestClosedSpectra:
     def test_grid_too_coarse(self):
         with pytest.raises(ParameterError):
             sfm_spectrum_closed(SFM_SPEC, np.arange(1000.0, 3000.0, 1.0))
+
+    def test_grid_must_ascend(self):
+        # The series kernel's singular-pair search needs ascending freqs.
+        for freqs in (self.band_grid(50.0)[::-1], np.array([FC]),
+                      np.array([FC, np.nan, FC + 0.1])):
+            with pytest.raises(ParameterError, match="ascending"):
+                sfm_spectrum_closed(SFM_SPEC, freqs)
+
+    def test_order_cap_refuses_before_allocating(
+        self, huge_order_sfm, no_allocation
+    ):
+        spec = WaveformSpec.from_dict(huge_order_sfm)
+        with pytest.raises(TruncationError, match="cap"):
+            closed_spectrum(spec, self.band_grid(10.0))
+
+    def test_fig6_cli_grid_bounded_memory(self, spec_dir):
+        # The CLI's closed-spectrum grid for the README fig6 gsfm is 2^18
+        # points over [0, fs); the former lines x freqs sinc tensor asked
+        # for 11.8 GiB on it.  Every other point is a 2^17-point FFT bin.
+        spec = WaveformSpec.from_dict(
+            json.loads((spec_dir / "fig6_gsfm.json").read_text())
+        )
+        sig = generate(spec)
+        nfft = 1 << int(np.ceil(np.log2(8 * len(sig.samples))))
+        assert nfft == 1 << 18
+        freqs = np.arange(nfft) * sig.sample_rate / nfft
+        tracemalloc.start()
+        try:
+            closed = closed_spectrum(spec, freqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * _CHUNK_BYTES
+        fft = spectrum_of(sig, nfft=1 << 17)
+        sel = np.abs(fft.freqs - spec.f_c) < 800.0
+        err = rel_l2(np.abs(closed.values[::2][sel]), np.abs(fft.values[sel]))
+        assert err < 1e-2
 
     def test_taper_rejected(self):
         spec = WaveformSpec(family="sfm", T=T, f_c=FC, delta_f=DF, f_m=10.0,

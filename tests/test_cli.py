@@ -223,6 +223,25 @@ class TestErrors:
         assert err.startswith("error: ") and "T must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("bad, message", [
+        (dict(LFM, taper={"kind": "tukey", "shape_param": "0.1"}),
+         "shape_param must be a number"),
+        ({"family": "bpsk", "T": 0.1, "f_c": 2000.0, "code": ["x", 1]},
+         "code must be a sequence of integers"),
+        ({"family": "bpsk", "T": 0.1, "f_c": 2000.0, "code": [0, 1.7, 1]},
+         "code must be a sequence of integers"),
+        ({"family": "bpsk", "T": 0.1, "f_c": 2000.0, "code": 5},
+         "code must be a sequence of integers"),
+    ])
+    def test_malformed_spec_entry(self, spec_file, tmp_path, capsys, bad,
+                                  message):
+        assert run(
+            ["gen", "--spec", spec_file(bad), "--out", str(tmp_path / "x.csv")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, tmp_path):
         assert run(["metrics", "--spec", str(tmp_path / "nope.json")]) == 1
 
@@ -237,6 +256,17 @@ class TestErrors:
         assert run(
             ["af", "--spec", spec_file(huge_order_sfm), "--taus=-0.1:0.1:3",
              "--etas", "1.0", "--closed", "--out", str(tmp_path / "af.csv")]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cap" in err
+        assert "Traceback" not in err
+
+    def test_closed_spectrum_order_cap(
+        self, spec_file, capsys, huge_order_sfm, no_allocation
+    ):
+        assert run(
+            ["spectrum", "--spec", spec_file(huge_order_sfm),
+             "--method", "closed"]
         ) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cap" in err

@@ -2,11 +2,13 @@
 
 ``_tensor_af_points`` is the former implementation of
 ``ambiguity._closed_af_points``: it builds the full delay x order x order
-sinc tensor and contracts it with einsum.  The matrix-product kernel must
-reproduce it to 1e-10 of the surface peak, with the same orders and
-pruning, on the README specs and on drawn rectangular sfm and even gsfm
-specs.  Every grid holds the eta = 1 row (exact mu = 0 pairs), delays
-next to +-T where the overlap vanishes, and eta != 1 rows.
+sinc tensor and contracts it with einsum, and it takes the Doppler-scaled
+factor's coefficients from their own FFT per delay.  The matrix-product
+kernel must reproduce it to 1e-10 of the surface peak, with the same orders
+(from ``gbf_coeffs``) and pruning, on the README specs and on drawn
+rectangular sfm and even gsfm specs.  Every grid holds the eta = 1 row
+(exact mu = 0 pairs), delays next to +-T where the overlap vanishes, and
+eta != 1 rows.
 """
 
 import json
@@ -16,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sonarwave.ambiguity import _PRUNE, _closed_af_points, doppler_eta
-from sonarwave.gbf import _coeffs_fft
+from sonarwave.gbf import _coeffs_fft, gbf_coeffs
 from sonarwave.waveforms import WaveformSpec, harmonic_series
 
 RTOL = 1e-10
@@ -29,16 +31,10 @@ def _tensor_af_points(betas, f0, fc_eff, ta, tb, taus, etas):
     etas = np.asarray(etas, dtype=float).ravel()
     k = np.arange(1, len(betas) + 1)
 
-    weight = float(np.sum(k * np.abs(betas)))
-    n_max = int(np.ceil(weight + 3.0 * np.cbrt(weight))) + 40
-    while True:
-        g1 = _coeffs_fft(betas.astype(np.complex128)[None, :], n_max)[0]
-        if abs(np.sum(np.abs(g1) ** 2) - 1.0) < 1e-10:
-            break
-        n_max *= 2
-    orders = np.arange(-n_max, n_max + 1)
-    keep_n = np.abs(g1) > _PRUNE
-    g1 = g1[keep_n]
+    c = gbf_coeffs(betas)
+    n_max, orders = c.n_max, c.orders
+    keep_n = np.abs(c.values) > _PRUNE
+    g1 = c.values[keep_n]
     n_ord = orders[keep_n].astype(float)
 
     t1 = np.maximum(ta, ta / etas - taus)

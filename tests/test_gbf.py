@@ -5,6 +5,7 @@ import pytest
 from scipy.special import jv
 
 from sonarwave.gbf import (
+    _TAIL,
     GbfCoefficients,
     TruncationError,
     _coeffs_fft,
@@ -81,6 +82,24 @@ class TestGbfCoeffs:
         with pytest.raises(TruncationError):
             gbf_coeffs([10.0], n_max=5)
         assert support_bound([10.0]) == 30
+
+    def test_default_order_is_least_within_tail(self):
+        # The default keeps orders out to the least n whose outer tail
+        # energy is below _TAIL, and matches a wide explicit truncation.
+        for betas in ([0.0], [7.3], [40.0], [20.0, -3.0, 0.5, 0.1]):
+            c = gbf_coeffs(betas)
+            wide = gbf_coeffs(betas, n_max=4 * c.n_max + 100)
+            energy = np.abs(wide.values) ** 2
+            outside = np.abs(wide.orders)
+            assert np.sum(energy[outside > c.n_max]) < _TAIL
+            if c.n_max > 0:
+                assert np.sum(energy[outside >= c.n_max]) >= _TAIL
+            inner = wide.values[np.abs(wide.orders) <= c.n_max]
+            assert np.max(np.abs(c.values - inner)) < 1e-13
+
+    def test_order_cap_refuses_before_allocating(self, no_allocation):
+        with pytest.raises(TruncationError, match="cap"):
+            gbf_coeffs([5e8])
 
     def test_weights_length_mismatch(self):
         with pytest.raises(ParameterError):
