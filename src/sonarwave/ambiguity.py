@@ -5,8 +5,10 @@ The wideband matched-filter response is
     chi(tau, eta) = sqrt(eta) * integral s(t) conj(s(eta (t + tau))) dt
 
 with Doppler scale eta = (1 + v/c)/(1 - v/c).  Numeric surfaces are computed
-row-per-eta by band-limited resampling followed by FFT cross-correlation.
-The rectangular SFM and gsfm admit Bessel/generalized-Bessel series closed
+in the frequency domain, chi = eta^-1/2 int S(f) conj(S(f/eta))
+exp(-2j pi f tau) df: the spectrum once by FFT, each row's scaled spectrum
+exactly by a chirp-z transform, and one FFT per row back to delay.  The
+rectangular SFM and gsfm admit Bessel/generalized-Bessel series closed
 forms that this module evaluates through the same coefficient machinery.
 
 The closed form is a double series over Bessel orders (n, m) of terms
@@ -18,22 +20,35 @@ spectra share, as one real matrix product per Doppler row.
 
 from __future__ import annotations
 
-import csv
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .gbf import _CHUNK_BYTES, _series_sum, gbf_coeffs
-from .signal_core import ParameterError, SampledSignal, resample_scale
+from .signal_core import (
+    ParameterError,
+    SampledSignal,
+    _is_uniform,
+    _write_columns,
+)
 from .waveforms import FourierPhaseModel, WaveformSpec, harmonic_series
 
 DEFAULT_SOUND_SPEED = 1500.0
 
-# Resampling bounds: eta outside this open interval cannot be computed.
+# Doppler scales outside this open interval (|v| >= c/3) are not computed:
+# their rows are zeroed with a warning.
 _ETA_LO, _ETA_HI = 0.5, 2.0
+
+# Share of the |S|^2 energy left outside the band on which each eta != 1
+# row takes its scaled spectrum S(f / eta).  Near eta = 1 both factors of
+# the AF integrand are spectral tails off that band; even at the (0.5, 2)
+# bounds, where the band and its scaled copy barely overlap, the part of
+# chi dropped stays below 3e-4 of the peak.  Without it, the 1/f tails of
+# a rectangular pulse's spectrum would make every row's chirp-z transform
+# span the whole FFT grid.
+_BAND_LOSS = 1e-4
 
 
 def doppler_eta(v: float, c: float = DEFAULT_SOUND_SPEED) -> float:
@@ -113,27 +128,29 @@ class AmbiguitySurface:
 
     def to_csv(self, path) -> None:
         """Long-format export: one (tau, eta, v, value) row per cell."""
-        v = self.velocities
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["tau", "eta", "v", "value"])
-            for i, eta in enumerate(self.dopplers):
-                for j, tau in enumerate(self.delays):
-                    w.writerow(
-                        [repr(float(tau)), repr(float(eta)),
-                         repr(float(v[i])), repr(float(self.values[i, j]))]
-                    )
+        n = len(self.delays)
+        _write_columns(
+            path, "tau,eta,v,value",
+            [np.tile(self.delays, len(self.dopplers)),
+             np.repeat(self.dopplers, n), np.repeat(self.velocities, n),
+             self.values.ravel()],
+            "\r\n",
+        )
 
     def to_binary(self, path) -> None:
         """Little-endian float32 dump with a 32-byte header.
 
-        Header: magic b"AFS1", uint32 n_delays, uint32 n_dopplers, then
-        float32 tau_min, tau_max, eta_min, eta_max, c.  Values follow
-        row-major (Doppler rows).  The grids are assumed uniform.
+        Header: magic, uint32 n_delays, uint32 n_dopplers, then float32
+        tau_first, tau_last, eta_first, eta_last, c.  Values follow
+        row-major (Doppler rows).  Uniform grids (magic b"AFS1") are read
+        back from their ends.  Other grids, such as Doppler scales uniform
+        in velocity, get magic b"AFS2" and both axes as float64 between
+        the header and the values, so no cell is read back respaced.
         """
+        uniform = _is_uniform(self.delays) and _is_uniform(self.dopplers)
         header = struct.pack(
             "<4sIIfffff",
-            b"AFS1",
+            b"AFS1" if uniform else b"AFS2",
             len(self.delays),
             len(self.dopplers),
             float(self.delays[0]),
@@ -145,6 +162,9 @@ class AmbiguitySurface:
         assert len(header) == 32
         with open(path, "wb") as fh:
             fh.write(header)
+            if not uniform:
+                axes = np.concatenate([self.delays, self.dopplers])
+                fh.write(axes.astype("<f8").tobytes())
             fh.write(self.values.astype("<f4").tobytes())
 
 
@@ -155,33 +175,147 @@ def read_binary_surface(path) -> AmbiguitySurface:
         magic, n_tau, n_eta, t0, t1, e0, e1, c = struct.unpack(
             "<4sIIfffff", header
         )
-        if magic != b"AFS1":
+        if magic == b"AFS1":
+            delays = np.linspace(t0, t1, n_tau)
+            dopplers = np.linspace(e0, e1, n_eta)
+        elif magic == b"AFS2":
+            axes = np.frombuffer(fh.read(8 * (n_tau + n_eta)), dtype="<f8")
+            delays, dopplers = axes[:n_tau], axes[n_tau:]
+        else:
             raise ParameterError("not an ambiguity-surface binary file")
         data = np.frombuffer(fh.read(), dtype="<f4")
-    if len(data) != n_tau * n_eta:
+    if len(data) != n_tau * n_eta or len(dopplers) != n_eta:
         raise ParameterError("binary surface payload has the wrong size")
     return AmbiguitySurface(
-        delays=np.linspace(t0, t1, n_tau),
-        dopplers=np.linspace(e0, e1, n_eta),
+        delays=delays,
+        dopplers=dopplers,
         values=data.reshape(n_eta, n_tau).astype(float),
         c=float(c),
     )
 
 
-def _cross_ambiguity_row(
-    sig: SampledSignal, eta: float, delays: np.ndarray
+def _fast_len(n: int) -> int:
+    """Least 2^a 3^b 5^c >= n, a length numpy's FFT handles quickly."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(1j * phase) for real ``phase``, at half the cost of np.exp."""
+    out = np.empty(phase.shape, dtype=np.complex128)
+    out.real = np.cos(phase)
+    out.imag = np.sin(phase)
+    return out
+
+
+def _czt(x: np.ndarray, f_lo: float, df: float, k: int, fs: float):
+    """DTFT sum_n x[n] exp(-2j pi f n / fs) at f = f_lo + df * (0 .. k-1).
+
+    Bluestein's chirp-z transform (Rabiner, Schafer & Rader, 1969):
+    n m = (n^2 + m^2 - (m - n)^2) / 2 turns the sum into one convolution
+    with a chirp, taken by FFTs of a fast length >= len(x) + k - 1.
+    """
+    n = len(x)
+    size = _fast_len(n + k - 1)
+    j = np.arange(max(n, k), dtype=float)
+    chirp = _cis(-np.pi * (df / fs) * (j * j))
+    a = x * _cis(-2.0 * np.pi * (f_lo / fs) * j[:n]) * chirp[:n]
+    h = np.zeros(size, dtype=np.complex128)
+    h[:k] = chirp[:k].conj()
+    h[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(h))
+    return conv[:k] * chirp[:k]
+
+
+def _af_rows(
+    sig: SampledSignal, delays: np.ndarray, etas: np.ndarray
 ) -> np.ndarray:
-    """|chi(tau, eta)| sampled on ``delays`` for one Doppler scale."""
-    y = resample_scale(sig, eta)
-    fs = sig.sample_rate
-    s = sig.samples
-    # r[m] = sum_n s[n] conj(y[n + d]) with d = len(y) - 1 - m.
-    r = fftconvolve(s, np.conj(y.samples[::-1]))
-    d = (len(y.samples) - 1) - np.arange(len(r))
-    taus = d / fs + sig.t0 * (1.0 / eta - 1.0)
-    mag = np.abs(r) * np.sqrt(eta) / fs
-    # taus decreases with m; flip for interpolation.
-    return np.interp(delays, taus[::-1], mag[::-1], left=0.0, right=0.0)
+    """|chi(tau, eta)| on ``delays`` (columns) for each of ``etas`` (rows).
+
+    In the frequency domain the wideband AF is
+
+        chi(tau, eta) = eta^-1/2 int S(f) conj(S(f / eta)) exp(-2j pi f tau) df
+
+    with S(f) = X(f) exp(-2j pi f a) / fs, X the DTFT of the samples and a
+    the time of the first one.  X is taken once by an FFT on the grid
+    f_k = k df, k signed (|f| < fs/2, the samples' own band), whose delay
+    period 1/df keeps every alias of the delay window off the support.
+    Each eta != 1 row takes X(f_k / eta) exactly by one chirp-z transform,
+    over the band holding all but ``_BAND_LOSS`` of the energy; the eta = 1
+    row uses |X|^2 on the whole grid, the exact discrete autocorrelation.
+    One FFT of the product gives chi at the sample lags, delayed by
+    a (1/eta - 1), which are interpolated onto ``delays``; cells outside a
+    row's support are zero.
+    """
+    fs, t0, T = sig.sample_rate, sig.t0, sig.duration
+    shift = (t0 + 0.5 / fs) * (1.0 / etas - 1.0)
+    # chi(., eta) vanishes outside the support overlap, tau in (lo, hi).
+    lo = t0 / etas - t0 - T
+    hi = (t0 + T) / etas - t0
+    first = np.clip(delays.min(), lo, hi) - shift
+    last = np.clip(delays.max(), lo, hi) - shift
+    lags = np.arange(
+        int(np.floor(first.min() * fs)) - 1, int(np.ceil(last.max() * fs)) + 2
+    )
+    # One FFT period, in lags, holds the window and the support beyond
+    # either end of it, so no alias of chi lands in the window.
+    period = max((hi - shift).max() * fs - lags[0],
+                 lags[-1] - (lo - shift).min() * fs)
+    nfft = _fast_len(max(len(sig), int(np.ceil(period)) + 1))
+    df = fs / nfft
+    x = np.fft.fft(sig.samples, nfft)
+    power = np.abs(x) ** 2
+    # Signed bins k in [-half, nfft - half) holding all but _BAND_LOSS.
+    half = nfft // 2
+    shifted = np.fft.fftshift(power)
+    cum = np.cumsum(shifted)
+    out = np.zeros((len(etas), len(delays)))
+    if cum[-1] == 0:
+        return out
+    k_lo, k_hi = np.searchsorted(
+        cum, [0.5 * _BAND_LOSS * cum[-1], (1.0 - 0.5 * _BAND_LOSS) * cum[-1]]
+    ) - half
+    # chi carries the carrier: near its nulls |chi| has kinks that linear
+    # interpolation misses, while chi shifted down by the spectral
+    # centroid is a smooth envelope.
+    fbar = df * np.sum(np.arange(-half, nfft - half) * shifted) / cum[-1]
+    demod = _cis(2.0 * np.pi * fbar / fs * lags)
+    for i, eta in enumerate(etas):
+        if eta == 1.0:
+            prod = power
+        else:
+            prod = np.zeros(nfft, dtype=np.complex128)
+            k = np.arange(max(int(np.floor(eta * k_lo)), -half),
+                          min(int(np.ceil(eta * k_hi)), nfft - half - 1) + 1)
+            if len(k):
+                scaled = _czt(sig.samples, k[0] * df / eta, df / eta, len(k),
+                              fs)
+                prod[k] = x[k] * scaled.conj()
+        chi = np.fft.fft(prod)[lags % nfft] * (df / fs**2 / np.sqrt(eta))
+        # The eta = 1 row, acf, interpolates |chi| itself, so the cut stays
+        # the linear interpolation of the exact discrete autocorrelation.
+        chi = np.abs(chi) if eta == 1.0 else chi * demod
+        inside = (delays > lo[i]) & (delays < hi[i])
+        out[i, inside] = np.abs(
+            np.interp(delays[inside], lags / fs + shift[i], chi)
+        )
+    return out
+
+
+def _finite_grid(values, name: str) -> np.ndarray:
+    """``values`` as a non-empty 1-D float array of finite numbers."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise ParameterError(f"{name} must be a non-empty 1-D grid of "
+                             "finite numbers")
+    return grid
 
 
 def ambiguity_numeric(
@@ -190,24 +324,24 @@ def ambiguity_numeric(
     etas,
     c: float = DEFAULT_SOUND_SPEED,
 ) -> AmbiguitySurface:
-    """Numeric broadband ambiguity surface (resample + FFT correlation)."""
-    delays = np.asarray(delays, dtype=float)
-    etas = np.asarray(etas, dtype=float)
+    """Numeric broadband ambiguity surface (frequency-domain kernel)."""
+    delays = _finite_grid(delays, "delays")
+    etas = _finite_grid(etas, "Doppler scales")
     warnings = []
     if np.max(np.abs(delays)) > sig.duration:
         warnings.append(
             "delay grid extends beyond the signal duration; "
             "out-of-support cells are zero"
         )
+    ok = (etas > _ETA_LO) & (etas < _ETA_HI)
+    for eta in etas[~ok]:
+        warnings.append(
+            f"eta={eta} outside Doppler bounds "
+            f"({_ETA_LO}, {_ETA_HI}); row zeroed"
+        )
     mag = np.zeros((len(etas), len(delays)))
-    for i, eta in enumerate(etas):
-        if not _ETA_LO < eta < _ETA_HI:
-            warnings.append(
-                f"eta={eta} outside resample bounds "
-                f"({_ETA_LO}, {_ETA_HI}); row zeroed"
-            )
-            continue
-        mag[i] = _cross_ambiguity_row(sig, float(eta), delays)
+    if ok.any():
+        mag[ok] = _af_rows(sig, delays, etas[ok])
     values = mag**2
     peak = values.max()
     if peak > 0:
@@ -223,8 +357,8 @@ def ambiguity_numeric(
 
 def acf(sig: SampledSignal, delays) -> AmbiguityCut:
     """Zero-Doppler autocorrelation cut, peak-normalized magnitude."""
-    delays = np.asarray(delays, dtype=float)
-    mag = _cross_ambiguity_row(sig, 1.0, delays)
+    delays = _finite_grid(delays, "delays")
+    mag = _af_rows(sig, delays, np.ones(1))[0]
     peak = mag.max()
     if peak > 0:
         mag = mag / peak

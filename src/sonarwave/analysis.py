@@ -13,7 +13,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .gbf import _series_sum, gbf_coeffs
-from .signal_core import ParameterError, SampledSignal, Spectrum, spectrum_of
+from .signal_core import (
+    ParameterError,
+    SampledSignal,
+    Spectrum,
+    _is_uniform,
+    spectrum_of,
+)
 from .waveforms import (
     FourierPhaseModel,
     WaveformSpec,
@@ -135,17 +141,18 @@ def closed_spectrum(
 
     the AF's series sum (:func:`sonarwave.gbf._series_sum`) over the one
     interval [ta, tb] with unit right-hand coefficients at ``freqs``, which
-    must ascend with at least 4 points per 1/T.
+    must ascend uniformly with at least 4 points per 1/T.
     """
     betas, f0, fc_eff, ta, tb = harmonic_series(spec, model)
     c = gbf_coeffs(betas)
     freqs = np.asarray(freqs, dtype=float)
     T = spec.T
     if (freqs.ndim != 1 or len(freqs) < 2 or not np.all(np.diff(freqs) > 0)
+            or not _is_uniform(freqs)
             or freqs[1] - freqs[0] > 1.0 / (4.0 * T)):
         raise ParameterError(
-            "frequency grid must be 1-D and ascending, with at least 4 "
-            "points per 1/T"
+            "frequency grid must be 1-D, ascending and uniform, with at "
+            "least 4 points per 1/T"
         )
     vals = _series_sum(
         c.values, np.ones((1, len(freqs))), fc_eff + f0 * c.orders, freqs,

@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from . import ambiguity, analysis, transducer
-from .signal_core import ParameterError, SampledSignal, spectrum_of
+from .signal_core import (
+    ParameterError,
+    SampledSignal,
+    _write_columns,
+    _write_text,
+    spectrum_of,
+)
 from .waveforms import WaveformSpec, generate
 
 
@@ -51,27 +57,39 @@ def _collect_specs(paths) -> list[tuple[str, WaveformSpec]]:
     return out
 
 
+# Points in one lo:hi:count grid, checked before linspace allocates: one
+# surface row of 2^20 cells is already about 80 MB of CSV.
+_GRID_MAX = 1 << 20
+
+
 def _parse_grid(text: str) -> np.ndarray:
     """Grid syntax: comma-separated values, or ``lo:hi:count``."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ParameterError(
-                f"grid {text!r} must be 'lo:hi:count' or comma-separated"
-            )
-        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-        if n < 1:
-            raise ParameterError("grid count must be >= 1")
-        return np.linspace(lo, hi, n)
-    return np.array([float(x) for x in text.split(",")])
+    parts = text.split(":")
+    if len(parts) not in (1, 3):
+        raise ParameterError(
+            f"grid {text!r} must be 'lo:hi:count' or comma-separated"
+        )
+    try:
+        if len(parts) == 3:
+            values, n = [float(parts[0]), float(parts[1])], int(parts[2])
+        else:
+            values = [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ParameterError(
+            f"grid {text!r} holds a value that is not a number"
+        ) from None
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"grid {text!r} holds a non-finite value")
+    if len(parts) == 1:
+        return np.array(values)
+    if not 1 <= n <= _GRID_MAX:
+        raise ParameterError(f"grid count must be in [1, {_GRID_MAX}]")
+    return np.linspace(values[0], values[1], n)
 
 
 def write_signal_csv(sig: SampledSignal, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "re", "im"])
-        for t, s in zip(sig.times, sig.samples):
-            w.writerow([repr(float(t)), repr(float(s.real)), repr(float(s.imag))])
+    _write_columns(path, "t,re,im",
+                   [sig.times, sig.samples.real, sig.samples.imag], "\r\n")
 
 
 def read_signal_csv(path) -> SampledSignal:
@@ -91,14 +109,6 @@ def read_signal_csv(path) -> SampledSignal:
         sample_rate=fs,
         t0=float(t[0] - 0.5 / fs),
     )
-
-
-def _write_text(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
 
 
 def _json_dump(obj, path) -> None:
@@ -149,9 +159,7 @@ def _cmd_spectrum(args) -> int:
         sel &= sp.freqs >= args.fmin
     if args.fmax is not None:
         sel &= sp.freqs <= args.fmax
-    pairs = zip(sp.freqs[sel].tolist(), sp.power_db()[sel].tolist())
-    _write_text("f,psd_db\n" + "".join(f"{f!r},{d!r}\n" for f, d in pairs),
-                args.out)
+    _write_columns(args.out, "f,psd_db", [sp.freqs[sel], sp.power_db()[sel]])
     return 0
 
 

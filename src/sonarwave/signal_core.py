@@ -1,4 +1,5 @@
-"""Sampling, tapering, resampling, and spectral primitives.
+"""Sampling, tapering, resampling, and spectral primitives, and the one
+plain-text writer every CSV and JSON output goes through.
 
 All signals are stored as complex analytic passband time series.  The real
 transmitted signal is ``Re{s(t)}`` and is only materialized where a metric
@@ -8,6 +9,7 @@ requires it (PAPR, transducer drive).
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
@@ -155,8 +157,7 @@ _KAISER_BETA = 7.857
 _TAPS = 32
 # Output samples per resampling block.  Each (block x taps) temporary stays
 # at or below 128 KiB, so the allocator recycles it instead of mapping and
-# page-faulting a fresh multi-MB array for every Doppler row; the faults
-# were a quarter of a numeric AF's CPU time.
+# page-faulting a fresh multi-MB array on every call.
 _BLOCK = 256
 
 
@@ -227,3 +228,30 @@ def spectrum_of(sig: SampledSignal, nfft: int | None = None) -> Spectrum:
     # First sample sits at t0 + 0.5/fs, not at t = 0.
     vals *= np.exp(-2j * np.pi * freqs * (sig.t0 + 0.5 / fs))
     return Spectrum(freqs=freqs, values=vals, df=df)
+
+
+def _is_uniform(grid: np.ndarray) -> bool:
+    """Whether a 1-D grid is evenly spaced, to 1e-6 of its step."""
+    if len(grid) < 3:
+        return True
+    even = np.linspace(grid[0], grid[-1], len(grid))
+    step = abs(grid[-1] - grid[0]) / (len(grid) - 1)
+    return bool(np.max(np.abs(grid - even)) <= 1e-6 * step)
+
+
+def _write_text(text: str, path) -> None:
+    """Write ``text`` to the file ``path``, or to stdout if it is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+
+
+def _write_columns(path, header: str, columns, end: str = "\n") -> None:
+    """CSV of float columns: ``header``, then each row's values as repr."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    _write_text(
+        header + end + "".join(",".join(map(repr, r)) + end for r in rows),
+        path,
+    )

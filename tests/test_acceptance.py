@@ -129,7 +129,7 @@ def test_criterion_3_pareto_sweep(criterion):
 
 
 def test_criterion_4_closed_af_oracle(criterion, spec_dir):
-    """Bessel-series AFs agree with the resampling-correlation AFs."""
+    """Bessel-series AFs agree with the numeric (frequency-domain) AFs."""
     taus = np.linspace(-T / 2, T / 2, 101)
     etas = np.array([doppler_eta(v) for v in np.linspace(-20.0, 20.0, 101)])
     t0 = time.time()
@@ -142,7 +142,7 @@ def test_criterion_4_closed_af_oracle(criterion, spec_dir):
                 np.sqrt(closed.values) - np.sqrt(numeric.values)
             ))
             check(diff < tol, f"{name}: maxdiff={diff:.2e}")
-        check(time.time() - t0 < 60.0, f"{time.time() - t0:.1f}s")
+        check(time.time() - t0 < 20.0, f"{time.time() - t0:.1f}s")
 
 
 def _doppler_eta_vec(v):

@@ -6,7 +6,7 @@ import pytest
 from sonarwave.ambiguity import (
     AmbiguityCut,
     AmbiguitySurface,
-    _cross_ambiguity_row,
+    _af_rows,
     acf,
     ambiguity_numeric,
     closed_af_surface,
@@ -47,7 +47,7 @@ class TestDopplerEta:
 class TestNumericSurface:
     def test_origin_peak_is_energy(self):
         sig = generate(CW)
-        val = _cross_ambiguity_row(sig, 1.0, np.array([0.0]))[0]
+        val = _af_rows(sig, np.array([0.0]), np.array([1.0]))[0, 0]
         assert val == pytest.approx(sig.energy, rel=1e-6)
 
     def test_origin_cell_normalized(self):
@@ -76,7 +76,7 @@ class TestNumericSurface:
         sig = generate(LFM)
         eta = doppler_eta(3.0)
         delays = np.linspace(-0.1, 0.1, 801)
-        row = _cross_ambiguity_row(sig, eta, delays)
+        row = _af_rows(sig, delays, np.array([eta]))[0]
         tau_peak = delays[np.argmax(row)]
         predicted = -(eta - 1.0) * FC * T / DF
         assert tau_peak == pytest.approx(predicted, abs=3e-3)
@@ -188,7 +188,7 @@ class TestClosedForms:
         sig = generate(self.SFM)
         taus = np.linspace(-0.2, 0.2, 41)
         eta = doppler_eta(5.0)
-        numeric = _cross_ambiguity_row(sig, eta, taus)
+        numeric = _af_rows(sig, taus, np.array([eta]))[0]
         closed = sfm_af_closed(self.SFM, taus, np.full_like(taus, eta))
         assert np.max(np.abs(closed - numeric)) < 0.02
 
@@ -198,7 +198,7 @@ class TestClosedForms:
         sig = generate(spec)
         taus = np.linspace(-0.2, 0.2, 41)
         for eta in (1.0, doppler_eta(5.0)):
-            numeric = _cross_ambiguity_row(sig, eta, taus)
+            numeric = _af_rows(sig, taus, np.array([eta]))[0]
             closed = sfm_af_closed(spec, taus, np.full_like(taus, eta))
             assert np.max(np.abs(closed - numeric)) < 0.02
 
@@ -287,6 +287,30 @@ class TestSurfaceIO:
         np.testing.assert_allclose(back.values, surf.values, atol=1e-7)
         np.testing.assert_allclose(back.delays, surf.delays, atol=1e-7)
         assert back.c == pytest.approx(surf.c)
+
+    def test_binary_keeps_non_uniform_grids(self, tmp_path):
+        # The uniform header holds only the grid ends: [0, 0.1, 0.5] used
+        # to read back as [0, 0.25, 0.5].  Doppler scales uniform in
+        # velocity are not uniform in eta.
+        sig = generate(CW)
+        etas = np.array([doppler_eta(v) for v in (-20.0, 0.0, 20.0)])
+        for delays, etas in (([0.0, 0.1, 0.5], [1.0]),
+                             ([0.0, 0.1], etas)):
+            surf = ambiguity_numeric(sig, np.array(delays), etas)
+            path = tmp_path / "surf.bin"
+            surf.to_binary(path)
+            assert path.read_bytes()[:4] == b"AFS2"
+            back = read_binary_surface(path)
+            np.testing.assert_array_equal(back.delays, surf.delays)
+            np.testing.assert_array_equal(back.dopplers, surf.dopplers)
+            np.testing.assert_allclose(back.values, surf.values, atol=1e-7)
+
+    def test_binary_uniform_grid_layout(self, tmp_path):
+        surf = self.make_surface()
+        path = tmp_path / "surf.bin"
+        surf.to_binary(path)
+        data = path.read_bytes()
+        assert data[:4] == b"AFS1" and len(data) == 32 + 4 * surf.values.size
 
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -274,6 +274,14 @@ class TestClosedSpectra:
         with pytest.raises(TruncationError, match="cap"):
             closed_spectrum(spec, self.band_grid(10.0))
 
+    def test_grid_must_be_uniform(self):
+        # 0.25 Hz steps to 1501 Hz, then 50 Hz steps: spectral_efficiency
+        # read this fig5 grid as df = 0.25 and gave SE = 0.83 for 200 Hz.
+        freqs = np.concatenate([np.arange(1500.0, 1501.0, 0.25),
+                                np.arange(1501.0, 2500.5, 50.0)])
+        with pytest.raises(ParameterError, match="uniform"):
+            sfm_spectrum_closed(SFM_SPEC, freqs)
+
     def test_fig6_cli_grid_bounded_memory(self, spec_dir):
         # The CLI's closed-spectrum grid for the README fig6 gsfm is 2^18
         # points over [0, fs); the former lines x freqs sinc tensor asked

@@ -1,13 +1,15 @@
 """End-to-end tests of the command-line front end."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from sonarwave.ambiguity import read_binary_surface
+from sonarwave.ambiguity import ambiguity_numeric, read_binary_surface
 from sonarwave.analysis import papr
-from sonarwave.cli import read_signal_csv, run
+from sonarwave.cli import _load_spec, read_signal_csv, run
+from sonarwave.waveforms import generate
 
 SFM = {
     "family": "sfm", "T": 0.1, "f_c": 2000.0, "delta_f": 200.0, "f_m": 50.0,
@@ -121,6 +123,17 @@ class TestAf:
         assert surf.values.shape == (5, 21)
         assert surf.values.max() == pytest.approx(1.0)
 
+    def test_binary_non_uniform_grid(self, spec_file, tmp_path):
+        out = tmp_path / "af.bin"
+        assert run(
+            ["af", "--spec", spec_file(LFM), "--taus=0,0.01,0.05",
+             "--etas", "0.999,1,1.002", "--format", "f32bin",
+             "--out", str(out)]
+        ) == 0
+        surf = read_binary_surface(out)
+        np.testing.assert_array_equal(surf.delays, [0.0, 0.01, 0.05])
+        np.testing.assert_array_equal(surf.dopplers, [0.999, 1.0, 1.002])
+
     def test_closed_form_path(self, spec_file, tmp_path):
         out = tmp_path / "af.csv"
         assert run(
@@ -134,6 +147,42 @@ class TestAf:
             ["af", "--spec", spec_file(LFM), "--taus", "0:1", "--etas", "1",
              "--out", str(tmp_path / "x.csv")]
         ) == 1
+
+
+class TestCsvText:
+    """The CSV writers produce the bytes of a ``csv.writer`` per row."""
+
+    @staticmethod
+    def writer_csv(path, header, rows):
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([repr(float(x)) for x in row])
+
+    def test_gen_readme_example(self, spec_dir, tmp_path):
+        out, ref = tmp_path / "gsfm.csv", tmp_path / "ref.csv"
+        spec = spec_dir / "fig6_gsfm.json"
+        assert run(["gen", "--spec", str(spec), "--out", str(out)]) == 0
+        sig = generate(_load_spec(spec))
+        self.writer_csv(ref, ["t", "re", "im"],
+                        zip(sig.times, sig.samples.real, sig.samples.imag))
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_af_readme_example(self, spec_dir, tmp_path):
+        out, ref = tmp_path / "af.csv", tmp_path / "ref.csv"
+        spec = spec_dir / "fig6_gsfm.json"
+        assert run(["af", "--spec", str(spec), "--taus=-0.25:0.25:101",
+                    "--etas", "0.99:1.01:101", "--out", str(out)]) == 0
+        taus = np.linspace(-0.25, 0.25, 101)
+        etas = np.linspace(0.99, 1.01, 101)
+        surf = ambiguity_numeric(generate(_load_spec(spec)), taus, etas)
+        v = surf.velocities
+        self.writer_csv(ref, ["tau", "eta", "v", "value"],
+                        ((tau, eta, v[i], surf.values[i, j])
+                         for i, eta in enumerate(etas)
+                         for j, tau in enumerate(taus)))
+        assert out.read_bytes() == ref.read_bytes()
 
 
 class TestCompare:
@@ -241,6 +290,23 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("grid, message", [
+        (["--taus=0:1:x", "--etas=1"], "not a number"),
+        (["--taus=0,abc", "--etas=1"], "not a number"),
+        (["--taus=nan,0", "--etas=1"], "non-finite"),
+        (["--taus=0", "--etas=1,inf"], "non-finite"),
+        (["--taus=0:1:1000000000000", "--etas=1"], "grid count"),
+    ])
+    def test_malformed_af_grid(self, spec_file, tmp_path, capsys, grid,
+                               message):
+        out = tmp_path / "x.csv"
+        assert run(["af", "--spec", spec_file(LFM), *grid,
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_file(self, tmp_path):
         assert run(["metrics", "--spec", str(tmp_path / "nope.json")]) == 1
