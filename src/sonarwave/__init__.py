@@ -25,7 +25,7 @@ from .waveforms import (
     is_costas,
     m_sequence,
 )
-from .gbf import GbfCoefficients, TruncationError, bessel_j, gbf_coeffs
+from .gbf import GbfCoefficients, TruncationError, gbf_coeffs
 from .analysis import (
     MetricsReport,
     bandwidth_98,
@@ -82,7 +82,6 @@ __all__ = [
     "ambiguity_numeric",
     "apply_response",
     "bandwidth_98",
-    "bessel_j",
     "carson_gsfm",
     "carson_sfm",
     "closed_af_surface",

@@ -172,20 +172,24 @@ def read_binary_surface(path) -> AmbiguitySurface:
     """Read a surface written by :meth:`AmbiguitySurface.to_binary`."""
     with open(path, "rb") as fh:
         header = fh.read(32)
+        if len(header) < 32 or header[:4] not in (b"AFS1", b"AFS2"):
+            raise ParameterError("not an ambiguity-surface binary file")
         magic, n_tau, n_eta, t0, t1, e0, e1, c = struct.unpack(
             "<4sIIfffff", header
         )
         if magic == b"AFS1":
             delays = np.linspace(t0, t1, n_tau)
             dopplers = np.linspace(e0, e1, n_eta)
-        elif magic == b"AFS2":
-            axes = np.frombuffer(fh.read(8 * (n_tau + n_eta)), dtype="<f8")
-            delays, dopplers = axes[:n_tau], axes[n_tau:]
         else:
-            raise ParameterError("not an ambiguity-surface binary file")
-        data = np.frombuffer(fh.read(), dtype="<f4")
-    if len(data) != n_tau * n_eta or len(dopplers) != n_eta:
+            axes = fh.read(8 * (n_tau + n_eta))
+            if len(axes) != 8 * (n_tau + n_eta):
+                raise ParameterError("binary surface axes are cut short")
+            axes = np.frombuffer(axes, dtype="<f8")
+            delays, dopplers = axes[:n_tau], axes[n_tau:]
+        data = fh.read()
+    if len(data) != 4 * n_tau * n_eta:
         raise ParameterError("binary surface payload has the wrong size")
+    data = np.frombuffer(data, dtype="<f4")
     return AmbiguitySurface(
         delays=delays,
         dopplers=dopplers,

@@ -1,4 +1,4 @@
-"""Cylindrical and generalized (multi-harmonic) Bessel function evaluation.
+"""Generalized (multi-harmonic) Bessel coefficients, cylindrical J_n included.
 
 The generalized Bessel function coefficients are the Fourier coefficients of
 the unimodular generating function
@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .signal_core import ParameterError
 
@@ -49,13 +48,6 @@ class GbfCoefficients:
     @property
     def n_max(self) -> int:
         return (len(self.values) - 1) // 2
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Cylindrical Bessel function of the first kind, integer order."""
-    if abs(n) > 200 or abs(x) > 1e4:
-        raise ParameterError("bessel_j domain is |n| <= 200, |x| <= 1e4")
-    return float(jv(n, x))
 
 
 def support_bound(betas) -> int:

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
-from scipy.signal import windows
 
 
 class ParameterError(ValueError):
@@ -145,11 +144,21 @@ def make_taper(taper: Taper, n: int) -> np.ndarray:
     """
     if n < 2:
         raise ParameterError("taper length must be at least 2")
-    if taper.kind == "rectangular":
+    alpha = 1.0 if taper.kind == "hann" else taper.shape_param
+    if taper.kind == "rectangular" or alpha <= 0.0:
         return np.ones(n)
-    if taper.kind == "hann":
-        return windows.hann(n, sym=True)
-    return windows.tukey(n, alpha=taper.shape_param, sym=True)
+    if alpha >= 1.0:
+        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n))
+    # Symmetric Tukey: cosine ramps over the first and last
+    # floor(alpha (n - 1) / 2) + 1 samples, ones in between.
+    width = int(np.floor(alpha * (n - 1) / 2.0))
+    x = 2.0 * np.arange(n) / alpha / (n - 1)
+    w = np.ones(n)
+    w[: width + 1] = 0.5 * (1.0 + np.cos(np.pi * (-1.0 + x[: width + 1])))
+    w[n - width - 1 :] = 0.5 * (
+        1.0 + np.cos(np.pi * (-2.0 / alpha + 1.0 + x[n - width - 1 :]))
+    )
+    return w
 
 
 # Kaiser beta giving >= 80 dB image rejection for the windowed-sinc kernel.

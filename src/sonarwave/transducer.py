@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.signal import hilbert
 
 from .analysis import energy_efficiency
 from .signal_core import ParameterError, SampledSignal
@@ -286,13 +285,27 @@ def apply_response(
     f = np.fft.rfftfreq(n, d=1.0 / sig.sample_rate)
     if f[-1] < resp.freqs[0] or f[1] > resp.freqs[-1]:
         raise FormatError("signal band lies entirely outside the response")
-    y = np.fft.irfft(spec * resp.response_at(f), n)
     return SampledSignal(
-        samples=hilbert(y),
+        samples=_analytic(spec * resp.response_at(f), n),
         sample_rate=sig.sample_rate,
         t0=sig.t0,
         energy_normalized=False,
     )
+
+
+def _analytic(half: np.ndarray, n: int) -> np.ndarray:
+    """Analytic signal of the real length-``n`` sequence with rfft ``half``.
+
+    The FFT mask of Marple (IEEE Trans. Signal Process. 47(9), 1999):
+    positive bins doubled, negative ones zeroed, DC and (n even) Nyquist
+    kept once.  Those two take their real parts, as ``irfft`` reads them.
+    """
+    full = np.zeros(n, dtype=np.complex128)
+    full[: len(half)] = 2.0 * half
+    full[0] = half[0].real
+    if n % 2 == 0:
+        full[n // 2] = half[-1].real
+    return np.fft.ifft(full)
 
 
 def peak_normalized(sig: SampledSignal) -> SampledSignal:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .gbf import TruncationError
 from .signal_core import (
@@ -30,6 +29,15 @@ from .signal_core import (
 )
 
 FAMILIES = ("cw", "lfm", "sfm", "gsfm", "costas", "bpsk", "qpsk")
+
+# Largest sample count a spec may ask for.  The most met so far is 35,070
+# (a 70 kHz bpsk in the benchmark pools, seeds 1-20; the specs/ corpus peaks
+# at 36,784), so 2^22 leaves about 115x headroom.  At the cap one complex
+# sample array is 64 MiB and the gsfm's 4x refined integration grid 128 MiB
+# per array, so a larger count is a pathological spec (T in hours, or a
+# sample_rate off by decades): refusing it up front keeps a generator from
+# asking for gigabytes.
+_N_SAMPLES_CAP = 1 << 22
 
 
 class CodeError(ParameterError):
@@ -112,6 +120,13 @@ class WaveformSpec:
             object.__setattr__(self, "code", tuple(int(c) for c in self.code))
             if self.n_chips == 0:
                 object.__setattr__(self, "n_chips", len(self.code))
+        # Coded families sample every chip at least twice.
+        n = max(self.T * self.resolved_sample_rate(), 2 * self.n_chips)
+        if n > _N_SAMPLES_CAP:
+            raise ParameterError(
+                f"spec asks for {n:.4g} samples, beyond the cap of "
+                f"{_N_SAMPLES_CAP}"
+            )
 
     @property
     def beta(self) -> float:
@@ -273,6 +288,38 @@ def gsfm_if_modulation(spec: WaveformSpec, t: np.ndarray) -> np.ndarray:
     return np.cos(2 * np.pi * spec.alpha * arg)
 
 
+def _simpson_intervals(y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Integral over [x_i, x_i+1] of the quadratic through x_i..x_i+2.
+
+    ``h`` holds the steps x_i+1 - x_i; the rule allows unequal steps.
+    """
+    r = h[:-1] / (h[:-1] + h[1:])
+    rq = r * (h[:-1] / h[1:])
+    return h[:-1] / 6 * (
+        (3 - r) * y[:-2] + (3 + rq + r) * y[1:-1] - rq * y[2:]
+    )
+
+
+def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral of samples ``y`` over the ascending grid ``x``.
+
+    Starts at 0 at x[0].  Intervals 1, 3, 5, ... take the quadratic
+    through their right neighbour, intervals 2, 4, ... and the last one
+    the quadratic through their left neighbour (Cartwright's cumulative
+    Simpson rule for unequal steps).  Needs at least 3 points.
+    """
+    h = np.diff(x)
+    ahead = _simpson_intervals(y, h)
+    behind = _simpson_intervals(y[::-1], h[::-1])[::-1]
+    parts = np.empty(len(h))
+    parts[:-1:2] = ahead[::2]
+    parts[1::2] = behind[::2]
+    parts[-1] = behind[-1]
+    out = np.zeros(len(y))
+    np.cumsum(parts, out=out[1:])
+    return out
+
+
 def gen_gsfm(spec: WaveformSpec) -> SampledSignal:
     """GSFM via high-resolution cumulative integration of its IF."""
     if spec.family != "gsfm":
@@ -286,7 +333,7 @@ def gen_gsfm(spec: WaveformSpec) -> SampledSignal:
     g = gsfm_if_modulation(spec, edges)
     phi_edges = (
         2.0 * np.pi * (spec.delta_f / 2.0)
-        * cumulative_simpson(g, x=edges, initial=0.0)
+        * _cumulative_simpson(g, edges)
     )
     # Anchor the integration constant at t = 0 so the rho = 1 limit matches
     # the SFM phase exactly.

@@ -318,6 +318,20 @@ class TestSurfaceIO:
         with pytest.raises(ParameterError):
             read_binary_surface(path)
 
+    def test_binary_short_files(self, tmp_path):
+        # An AFS2 file cut inside its float64 axes, after 5 bytes of them.
+        sig = generate(CW)
+        surf = ambiguity_numeric(sig, np.array([0.0, 0.1, 0.5]), [1.0])
+        cut = tmp_path / "cut.bin"
+        surf.to_binary(cut)
+        cut.write_bytes(cut.read_bytes()[:37])
+        empty, magic_only = tmp_path / "empty.bin", tmp_path / "magic.bin"
+        empty.write_bytes(b"")
+        magic_only.write_bytes(b"AFS1")
+        for path in (empty, magic_only, cut):
+            with pytest.raises(ParameterError):
+                read_binary_surface(path)
+
     def test_csv_export(self, tmp_path):
         surf = self.make_surface()
         path = tmp_path / "surf.csv"

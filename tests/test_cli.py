@@ -272,6 +272,15 @@ class TestErrors:
         assert err.startswith("error: ") and "T must be finite" in err
         assert "Traceback" not in err
 
+    def test_sample_count_cap(self, spec_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        hour = {"family": "cw", "T": 3600.0, "f_c": 2000.0}
+        assert run(["gen", "--spec", spec_file(hour), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cap" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad, message", [
         (dict(LFM, taper={"kind": "tukey", "shape_param": "0.1"}),
          "shape_param must be a number"),

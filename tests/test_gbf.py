@@ -9,7 +9,6 @@ from sonarwave.gbf import (
     GbfCoefficients,
     TruncationError,
     _coeffs_fft,
-    bessel_j,
     gbf_coeffs,
     support_bound,
 )
@@ -17,24 +16,26 @@ from sonarwave.signal_core import ParameterError
 
 
 class TestBesselJ:
+    """The one-harmonic coefficients are the cylindrical J_n(x), checked
+    against scipy's ``jv`` over the orders the truncation rule keeps."""
+
     def test_origin(self):
-        assert bessel_j(0, 0.0) == 1.0
+        c = gbf_coeffs([0.0])
+        assert c[0] == jv(0, 0.0) == 1.0
+        assert np.all(c.values[np.asarray(c.orders) != 0] == 0.0)
 
     def test_reference_value(self):
-        assert bessel_j(1, 1.0) == pytest.approx(0.4400505857, abs=1e-10)
+        c = gbf_coeffs([1.0])
+        assert c[1] == pytest.approx(0.4400505857, abs=1e-10)
+        assert c[1] == pytest.approx(jv(1, 1.0), abs=1e-12)
 
     def test_parity(self):
-        for n in (1, 2, 5):
-            for x in (0.5, 3.0, 10.0):
-                assert bessel_j(-n, x) == pytest.approx(
-                    (-1) ** n * bessel_j(n, x), abs=1e-12
-                )
-
-    def test_domain_limits(self):
-        with pytest.raises(ParameterError):
-            bessel_j(201, 1.0)
-        with pytest.raises(ParameterError):
-            bessel_j(0, 1e5)
+        for x in (0.5, 3.0, 10.0):
+            c = gbf_coeffs([x])
+            for n in (1, 2, 5):
+                assert c[-n] == pytest.approx((-1) ** n * c[n], abs=1e-12)
+            n = np.arange(-c.n_max, c.n_max + 1)
+            np.testing.assert_allclose(c.values, jv(n, x), atol=1e-12)
 
 
 class TestGbfCoeffs:

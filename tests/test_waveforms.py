@@ -6,6 +6,7 @@ import pytest
 import sonarwave
 from sonarwave.signal_core import ParameterError, Taper, spectrum_of
 from sonarwave.waveforms import (
+    _N_SAMPLES_CAP,
     CodeError,
     FourierPhaseModel,
     TruncationError,
@@ -86,6 +87,21 @@ class TestWaveformSpec:
             taper=Taper("tukey", 0.1),
         )
         assert WaveformSpec.from_dict(spec.to_dict()) == spec
+
+    def test_sample_count_cap(self, no_allocation):
+        cap = _N_SAMPLES_CAP
+        WaveformSpec(family="cw", T=1.0, f_c=FC, sample_rate=float(cap))
+        for bad in (
+            dict(family="cw", T=1.0, f_c=FC, sample_rate=float(cap + 1)),
+            dict(family="cw", T=3600.0, f_c=FC),
+            dict(family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.0,
+                 alpha=14.0, sample_rate=1e9),
+            # Two samples per chip, whatever the sample rate.
+            dict(family="costas", T=T, f_c=FC, n_chips=cap,
+                 sample_rate=8000.0),
+        ):
+            with pytest.raises(ParameterError, match="cap"):
+                WaveformSpec(**bad)
 
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
