@@ -470,8 +470,8 @@ def closed_af_surface(
     model: FourierPhaseModel | None = None,
 ) -> AmbiguitySurface:
     """Full closed-form surface for a rectangular sfm or even gsfm spec."""
-    delays = np.asarray(delays, dtype=float)
-    etas = np.asarray(etas, dtype=float)
+    delays = _finite_grid(delays, "delays")
+    etas = _finite_grid(etas, "Doppler scales")
     tt, ee = np.meshgrid(delays, etas)
     values = _closed_af(spec, model, tt, ee) ** 2
     peak = values.max()

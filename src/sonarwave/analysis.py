@@ -28,7 +28,7 @@ from .waveforms import (
 )
 
 
-class UndefinedMetricError(ValueError):
+class UndefinedMetricError(ParameterError):
     """Raised when a metric is undefined for the given input."""
 
 
@@ -250,7 +250,7 @@ def se_papr_sweep(
                 # Heavy-tailed spectra (untapered phase codes) may not fit
                 # 98% of their energy on the grid; SE and PAPR still stand.
                 row["tbp"] = None
-        except (ParameterError, UndefinedMetricError) as exc:
+        except ParameterError as exc:
             row.update(tbp=None, papr_db=None, se=None, error=str(exc))
         rows.append(row)
     return rows

@@ -298,7 +298,7 @@ def run(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (ParameterError, transducer.FormatError, KeyError) as exc:
+    except (ParameterError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:

@@ -36,7 +36,7 @@ _ROLLOFF_DB_PER_OCTAVE = 12.0
 _GRID_N = 4097
 
 
-class FormatError(ValueError):
+class FormatError(ParameterError):
     """Raised for malformed or insufficient response tables."""
 
 
@@ -337,7 +337,7 @@ def trw_report(
         try:
             drive = peak_normalized(generate(sp))
             energies[label] = apply_response(drive, resp).energy
-        except (ParameterError, FormatError) as exc:
+        except ParameterError as exc:
             errors[label] = str(exc)
     if reference not in energies:
         raise ParameterError(

@@ -1,7 +1,8 @@
-"""Generators for the waveform families and their discrete codes.
+"""The waveform sampler, the families' phase laws and their discrete codes.
 
-Families: cw, lfm, sfm, gsfm, costas, bpsk, qpsk.  Every generator returns a
-unit-energy :class:`~sonarwave.signal_core.SampledSignal`.
+Families: cw, lfm, sfm, gsfm, costas, bpsk, qpsk.  Each family supplies only
+its phase; :func:`generate` samples, tapers and normalizes every one of them
+the same way into a unit-energy :class:`~sonarwave.signal_core.SampledSignal`.
 
 Convention note: the sinusoidal-IF family is anchored on the SFM phase
 ``phi(t) = beta sin(2 pi f_m t)``.  The generalized waveform (gsfm) is
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .signal_core import (
 )
 
 FAMILIES = ("cw", "lfm", "sfm", "gsfm", "costas", "bpsk", "qpsk")
+_CODED = ("costas", "bpsk", "qpsk")
 
 # Largest sample count a spec may ask for.  The most met so far is 35,070
 # (a 70 kHz bpsk in the benchmark pools, seeds 1-20; the specs/ corpus peaks
@@ -95,22 +97,20 @@ class WaveformSpec:
                 raise ParameterError(
                     "gsfm requires exactly one of alpha or cycles"
                 )
+            scale = _cycles_per_alpha(self.T, self.rho, self.symmetry)
             if self.alpha is None:
-                object.__setattr__(
-                    self, "alpha", _alpha_from_cycles(
-                        self.cycles, self.T, self.rho, self.symmetry
-                    )
-                )
+                object.__setattr__(self, "alpha", self.cycles / scale)
             else:
-                object.__setattr__(
-                    self, "cycles", _cycles_from_alpha(
-                        self.alpha, self.T, self.rho, self.symmetry
-                    )
-                )
+                object.__setattr__(self, "cycles", self.alpha * scale)
             if self.alpha <= 0:
                 raise ParameterError("alpha must be positive")
         if self.family == "sfm" and self.f_m <= 0:
             raise ParameterError("sfm requires f_m > 0")
+        if not (isinstance(self.n_chips, numbers.Integral)
+                and self.n_chips >= 0):
+            raise ParameterError(
+                f"n_chips must be a nonnegative integer, got {self.n_chips!r}"
+            )
         if self.code is not None:
             if not (np.iterable(self.code) and all(
                     isinstance(c, numbers.Integral) for c in self.code)):
@@ -126,6 +126,12 @@ class WaveformSpec:
             raise ParameterError(
                 f"spec asks for {n:.4g} samples, beyond the cap of "
                 f"{_N_SAMPLES_CAP}"
+            )
+        # The sample grid has n_chips chips, so the code must fill them.
+        if self.code is not None and self.n_chips != len(self.code):
+            raise ParameterError(
+                f"n_chips = {self.n_chips} disagrees with the "
+                f"{len(self.code)}-chip code"
             )
 
     @property
@@ -145,11 +151,7 @@ class WaveformSpec:
         """Strict construction: unknown keys are rejected."""
         d = dict(d)
         taper_d = d.pop("taper", None)
-        known = {
-            "family", "T", "f_c", "delta_f", "f_m", "rho", "alpha",
-            "cycles", "symmetry", "n_chips", "code", "qpsk_sign",
-            "sample_rate",
-        }
+        known = {f.name for f in fields(cls)} - {"taper"}
         unknown = set(d) - known
         if unknown:
             raise ParameterError(
@@ -177,7 +179,7 @@ class WaveformSpec:
             d["f_m"] = self.f_m
         if self.family == "gsfm":
             d.update(rho=self.rho, alpha=self.alpha, symmetry=self.symmetry)
-        if self.family in ("costas", "bpsk", "qpsk"):
+        if self.family in _CODED:
             d["n_chips"] = self.n_chips
             if self.code is not None:
                 d["code"] = list(self.code)
@@ -188,16 +190,21 @@ class WaveformSpec:
         return d
 
 
-def _cycles_from_alpha(alpha, T, rho, symmetry):
-    if symmetry == "even":
-        return 2.0 * alpha * (T / 2.0) ** rho
-    return alpha * T**rho
+def _power(base: float, exponent: float) -> float:
+    """``base ** exponent``, refused outside e^-709..e^709 (normal doubles)."""
+    if abs(exponent * math.log(base)) > 709.0:
+        raise ParameterError(
+            f"{base:g}**{exponent:g} is out of floating-point range: "
+            "rho is too large for this T"
+        )
+    return base**exponent
 
 
-def _alpha_from_cycles(cycles, T, rho, symmetry):
+def _cycles_per_alpha(T, rho, symmetry):
+    """C / alpha: 2 (T/2)^rho for even symmetry, T^rho for nonsymmetric."""
     if symmetry == "even":
-        return cycles / (2.0 * (T / 2.0) ** rho)
-    return cycles / T**rho
+        return 2.0 * _power(T / 2.0, rho)
+    return _power(T, rho)
 
 
 def modulation_rate(spec: WaveformSpec) -> float:
@@ -206,7 +213,7 @@ def modulation_rate(spec: WaveformSpec) -> float:
         return spec.f_m
     if spec.family == "gsfm":
         t_eff = spec.T / 2.0 if spec.symmetry == "even" else spec.T
-        return spec.alpha * spec.rho * t_eff ** (spec.rho - 1.0)
+        return spec.alpha * spec.rho * _power(t_eff, spec.rho - 1.0)
     return 0.0
 
 
@@ -218,64 +225,9 @@ def default_sample_rate(spec: WaveformSpec) -> float:
     margin = 10.0 / spec.T
     if spec.family in ("sfm", "gsfm"):
         margin += modulation_rate(spec)
-    if spec.family in ("costas", "bpsk", "qpsk") and spec.n_chips > 0:
+    if spec.family in _CODED and spec.n_chips > 0:
         margin += 4.0 * spec.n_chips / spec.T
     return 16.0 * (spec.f_c + spec.delta_f / 2.0 + margin)
-
-
-def _support_times(spec: WaveformSpec, fs: float, n_override=None):
-    """Midpoint sample times and t0 for the spec's support convention."""
-    n = n_override if n_override is not None else max(int(round(spec.T * fs)), 2)
-    t0 = -spec.T / 2.0 if spec.symmetry == "even" else 0.0
-    t = t0 + (np.arange(n) + 0.5) / fs
-    return t, t0, n
-
-
-def _assemble(spec, phase, fs, t0):
-    """Taper (whole-pulse scope), then unit-energy normalize."""
-    s = np.exp(1j * phase)
-    if spec.taper.scope == "whole-pulse":
-        s = s * make_taper(spec.taper, len(s))
-    sig = SampledSignal(samples=s, sample_rate=fs, t0=t0)
-    return sig.normalized()
-
-
-def _check_nyquist(spec, fs):
-    if spec.f_c + spec.delta_f / 2.0 >= fs / 2.0:
-        raise ParameterError(
-            "f_c + delta_f/2 exceeds Nyquist for the chosen sample rate"
-        )
-
-
-def gen_cw(spec: WaveformSpec) -> SampledSignal:
-    fs = spec.resolved_sample_rate()
-    _check_nyquist(spec, fs)
-    t, t0, _ = _support_times(spec, fs)
-    return _assemble(spec, 2.0 * np.pi * spec.f_c * t, fs, t0)
-
-
-def gen_lfm(spec: WaveformSpec) -> SampledSignal:
-    """Linear sweep across delta_f: phi(t) = pi (delta_f/T) t^2, centered."""
-    if spec.family not in ("lfm", "cw"):
-        raise ParameterError("gen_lfm requires family lfm")
-    fs = spec.resolved_sample_rate()
-    _check_nyquist(spec, fs)
-    t, t0, _ = _support_times(spec, fs)
-    # Sweep is defined on the centered time axis regardless of support.
-    tcent = t - (t0 + spec.T / 2.0)
-    phase = np.pi * (spec.delta_f / spec.T) * tcent**2 + 2 * np.pi * spec.f_c * t
-    return _assemble(spec, phase, fs, t0)
-
-
-def gen_sfm(spec: WaveformSpec) -> SampledSignal:
-    """phi(t) = beta sin(2 pi f_m t) with beta = delta_f / (2 f_m)."""
-    if spec.family != "sfm":
-        raise ParameterError("gen_sfm requires family sfm")
-    fs = spec.resolved_sample_rate()
-    _check_nyquist(spec, fs)
-    t, t0, _ = _support_times(spec, fs)
-    phase = spec.beta * np.sin(2 * np.pi * spec.f_m * t) + 2 * np.pi * spec.f_c * t
-    return _assemble(spec, phase, fs, t0)
 
 
 def gsfm_if_modulation(spec: WaveformSpec, t: np.ndarray) -> np.ndarray:
@@ -320,61 +272,52 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def gen_gsfm(spec: WaveformSpec) -> SampledSignal:
+# Phase functions: each maps (spec, t, t0, n_chip, fs) to the passband
+# phase at the sample times t; ``generate`` does everything else.
+
+def _cw_phase(spec, t, t0, n_chip, fs):
+    return 2.0 * np.pi * spec.f_c * t
+
+
+def _lfm_phase(spec, t, t0, n_chip, fs):
+    """Linear sweep across delta_f: phi(t) = pi (delta_f/T) t^2, centered."""
+    # Sweep is defined on the centered time axis regardless of support.
+    tcent = t - (t0 + spec.T / 2.0)
+    return np.pi * (spec.delta_f / spec.T) * tcent**2 + 2 * np.pi * spec.f_c * t
+
+
+def _sfm_phase(spec, t, t0, n_chip, fs):
+    """phi(t) = beta sin(2 pi f_m t) with beta = delta_f / (2 f_m)."""
+    return spec.beta * np.sin(2 * np.pi * spec.f_m * t) + 2 * np.pi * spec.f_c * t
+
+
+def _gsfm_phase(spec, t, t0, n_chip, fs):
     """GSFM via high-resolution cumulative integration of its IF."""
-    if spec.family != "gsfm":
-        raise ParameterError("gen_gsfm requires family gsfm")
-    fs = spec.resolved_sample_rate()
-    _check_nyquist(spec, fs)
-    t, t0, n = _support_times(spec, fs)
+    n = len(t)
     # Integrate on a 4x refined edge grid; midpoints land on grid nodes.
     refine = 4
     edges = t0 + np.arange(n * refine + 1) / (fs * refine)
     g = gsfm_if_modulation(spec, edges)
-    phi_edges = (
-        2.0 * np.pi * (spec.delta_f / 2.0)
-        * _cumulative_simpson(g, edges)
-    )
+    phi_edges = np.pi * spec.delta_f * _cumulative_simpson(g, edges)
     # Anchor the integration constant at t = 0 so the rho = 1 limit matches
     # the SFM phase exactly.
     phi0 = np.interp(0.0, edges, phi_edges)
     phi_mid = phi_edges[refine // 2 :: refine][:n] - phi0
-    phase = phi_mid + 2 * np.pi * spec.f_c * t
-    return _assemble(spec, phase, fs, t0)
+    return phi_mid + 2 * np.pi * spec.f_c * t
 
 
-def _chip_grid(spec: WaveformSpec, fs: float):
-    n_chip = max(int(round(spec.T * fs / spec.n_chips)), 2)
-    n = n_chip * spec.n_chips
-    t0 = -spec.T / 2.0 if spec.symmetry == "even" else 0.0
-    t = t0 + (np.arange(n) + 0.5) / fs
-    return t, t0, n, n_chip
-
-
-def _chip_taper(spec: WaveformSpec, n: int, n_chip: int) -> np.ndarray:
-    if spec.taper.scope == "per-chip" and spec.taper.kind != "rectangular":
-        return np.tile(make_taper(spec.taper, n_chip), n // n_chip)
-    if spec.taper.scope == "whole-pulse":
-        return make_taper(spec.taper, n)
-    return np.ones(n)
-
-
-def gen_costas(spec: WaveformSpec) -> SampledSignal:
+def _costas_phase(spec, t, t0, n_chip, fs):
     """Frequency-hopped chips with phase continuity at chip boundaries.
 
     Chip frequencies f_i = f_c + (code_i - (N+1)/2) delta_f / N.
     """
-    if spec.family != "costas":
-        raise ParameterError("gen_costas requires family costas")
     code = spec.code
     if code is None:
         code = costas_code(spec.n_chips)
     if not is_costas(code):
         raise CodeError(f"code {list(code)} fails the Costas difference check")
     n_ch = len(code)
-    fs = spec.resolved_sample_rate()
-    _check_nyquist(spec, fs)
-    t, t0, n, n_chip = _chip_grid(spec, fs)
+    n = len(t)
     t_chip = n_chip / fs
     freqs = spec.f_c + (np.asarray(code) - (n_ch + 1) / 2.0) * spec.delta_f / n_ch
     # Cumulative theta_i keeps the passband phase continuous between chips.
@@ -383,53 +326,36 @@ def gen_costas(spec: WaveformSpec) -> SampledSignal:
     )
     local = (np.arange(n) % n_chip + 0.5) / fs
     chip_ix = np.arange(n) // n_chip
-    phase = 2.0 * np.pi * freqs[chip_ix] * local + theta[chip_ix]
-    s = np.exp(1j * phase) * _chip_taper(spec, n, n_chip)
-    return SampledSignal(samples=s, sample_rate=fs, t0=t0).normalized()
+    return 2.0 * np.pi * freqs[chip_ix] * local + theta[chip_ix]
 
 
-def gen_bpsk(spec: WaveformSpec) -> SampledSignal:
+def _bpsk_phase(spec, t, t0, n_chip, fs):
     """Constant-frequency chips with phases in {0, pi} from a bit code."""
-    if spec.family != "bpsk":
-        raise ParameterError("gen_bpsk requires family bpsk")
-    code = spec.code
-    if code is None or len(code) == 0:
-        raise ParameterError("bpsk requires a nonempty bit code")
-    fs = spec.resolved_sample_rate()
-    _check_nyquist(spec, fs)
-    t, t0, n, n_chip = _chip_grid(spec, fs)
-    bits = np.asarray(code)
-    theta = np.pi * bits[np.arange(n) // n_chip]
-    phase = 2.0 * np.pi * spec.f_c * t + theta
-    s = np.exp(1j * phase) * _chip_taper(spec, n, n_chip)
-    return SampledSignal(samples=s, sample_rate=fs, t0=t0).normalized()
+    if spec.code is None:
+        raise ParameterError("bpsk requires a bit code")
+    theta = np.pi * np.asarray(spec.code)[np.arange(len(t)) // n_chip]
+    return 2.0 * np.pi * spec.f_c * t + theta
 
 
 # Fraction of each chip used for the linear phase transition ramp.
 _QPSK_RAMP = 0.10
 
 
-def gen_qpsk(spec: WaveformSpec) -> SampledSignal:
+def _qpsk_phase(spec, t, t0, n_chip, fs):
     """Binary-to-quadriphase transform q_i = j^{+-(i-1)} e^{j theta_i}.
 
     Chip phases ramp linearly (shortest path) over the final 10% of each
     chip, keeping the envelope constant.
     """
-    if spec.family != "qpsk":
-        raise ParameterError("gen_qpsk requires family qpsk")
-    code = spec.code
-    if code is None or len(code) == 0:
-        raise ParameterError("qpsk requires a nonempty bit code")
+    if spec.code is None:
+        raise ParameterError("qpsk requires a bit code")
     if spec.qpsk_sign not in (1, -1):
         raise ParameterError("qpsk_sign must be +1 or -1")
-    fs = spec.resolved_sample_rate()
-    _check_nyquist(spec, fs)
-    t, t0, n, n_chip = _chip_grid(spec, fs)
-    bits = np.asarray(code)
+    bits = np.asarray(spec.code)
     n_ch = len(bits)
     chip_phase = spec.qpsk_sign * (np.pi / 2.0) * np.arange(n_ch) + np.pi * bits
 
-    theta = np.empty(n)
+    theta = np.empty(len(t))
     n_ramp = max(int(round(_QPSK_RAMP * n_chip)), 1)
     for i in range(n_ch):
         seg = slice(i * n_chip, (i + 1) * n_chip)
@@ -440,25 +366,47 @@ def gen_qpsk(spec: WaveformSpec) -> SampledSignal:
             ramp = slice((i + 1) * n_chip - n_ramp, (i + 1) * n_chip)
             theta[ramp] = chip_phase[i] + step * (np.arange(n_ramp) + 0.5) / n_ramp
             chip_phase[i + 1] = chip_phase[i] + step
-    phase = 2.0 * np.pi * spec.f_c * t + theta
-    s = np.exp(1j * phase) * _chip_taper(spec, n, n_chip)
-    return SampledSignal(samples=s, sample_rate=fs, t0=t0).normalized()
+    return 2.0 * np.pi * spec.f_c * t + theta
 
 
-_GENERATORS = {
-    "cw": gen_cw,
-    "lfm": gen_lfm,
-    "sfm": gen_sfm,
-    "gsfm": gen_gsfm,
-    "costas": gen_costas,
-    "bpsk": gen_bpsk,
-    "qpsk": gen_qpsk,
+_PHASES = {
+    "cw": _cw_phase,
+    "lfm": _lfm_phase,
+    "sfm": _sfm_phase,
+    "gsfm": _gsfm_phase,
+    "costas": _costas_phase,
+    "bpsk": _bpsk_phase,
+    "qpsk": _qpsk_phase,
 }
 
 
 def generate(spec: WaveformSpec) -> SampledSignal:
-    """Dispatch to the family generator."""
-    return _GENERATORS[spec.family](spec)
+    """Sample, taper and unit-energy normalize the waveform of ``spec``.
+
+    Samples sit at cell midpoints ``t0 + (n + 1/2)/fs`` on the support
+    [t0, t0 + T], in ``chips`` chips of ``n_chip`` samples each: the code
+    length for the coded families and one chip for the others, so a
+    ``per-chip`` taper on an uncoded family tapers the whole pulse.
+    """
+    fs = spec.resolved_sample_rate()
+    if spec.f_c + spec.delta_f / 2.0 >= fs / 2.0:
+        raise ParameterError(
+            "f_c + delta_f/2 exceeds Nyquist for the chosen sample rate"
+        )
+    chips = spec.n_chips if spec.family in _CODED else 1
+    if chips == 0:
+        raise ParameterError(
+            f"{spec.family} needs at least one chip: give n_chips or code"
+        )
+    n_chip = max(int(round(spec.T * fs / chips)), 2)
+    t0 = -spec.T / 2.0 if spec.symmetry == "even" else 0.0
+    t = t0 + (np.arange(n_chip * chips) + 0.5) / fs
+    if spec.taper.scope == "per-chip":
+        window = np.tile(make_taper(spec.taper, n_chip), chips)
+    else:
+        window = make_taper(spec.taper, len(t))
+    phase = _PHASES[spec.family](spec, t, t0, n_chip, fs)
+    return SampledSignal(np.exp(1j * phase) * window, fs, t0).normalized()
 
 
 # ----------------------------------------------------------------------

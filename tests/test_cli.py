@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from sonarwave.ambiguity import ambiguity_numeric, read_binary_surface
-from sonarwave.analysis import papr
+from sonarwave.analysis import UndefinedMetricError, papr
 from sonarwave.cli import _load_spec, read_signal_csv, run
-from sonarwave.waveforms import generate
+from sonarwave.gbf import TruncationError
+from sonarwave.signal_core import ParameterError
+from sonarwave.transducer import FormatError
+from sonarwave.waveforms import CodeError, generate
 
 SFM = {
     "family": "sfm", "T": 0.1, "f_c": 2000.0, "delta_f": 200.0, "f_m": 50.0,
@@ -256,6 +259,13 @@ class TestTrw:
 
 
 class TestErrors:
+    def test_one_error_root(self):
+        # Every invalid-input error is a ParameterError, the class the CLI
+        # turns into exit 1.
+        for cls in (FormatError, UndefinedMetricError, CodeError,
+                    TruncationError):
+            assert issubclass(cls, ParameterError)
+
     def test_unknown_spec_field(self, spec_file, tmp_path, capsys):
         bad = dict(LFM, rho_=2.0)
         assert run(
@@ -290,6 +300,13 @@ class TestErrors:
          "code must be a sequence of integers"),
         ({"family": "bpsk", "T": 0.1, "f_c": 2000.0, "code": 5},
          "code must be a sequence of integers"),
+        ({"family": "bpsk", "T": 0.5, "f_c": 2000.0, "delta_f": 200.0,
+          "n_chips": 10, "code": [0, 1, 1, 0, 1]},
+         "n_chips = 10 disagrees with the 5-chip code"),
+        ({"family": "gsfm", "T": 4.0, "f_c": 2000.0, "delta_f": 200.0,
+          "rho": 2000.0, "alpha": 1.0}, "rho is too large"),
+        ({"family": "gsfm", "T": 4.0, "f_c": 2000.0, "delta_f": 200.0,
+          "rho": 2000.0, "cycles": 10.0}, "rho is too large"),
     ])
     def test_malformed_spec_entry(self, spec_file, tmp_path, capsys, bad,
                                   message):

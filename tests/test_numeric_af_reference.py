@@ -179,3 +179,11 @@ def test_non_finite_grids_rejected(bad):
         ambiguity_numeric(sig, np.zeros(1), np.array([1.0, bad]))
     with pytest.raises(ParameterError, match="finite"):
         acf(sig, np.array([bad, 0.0]))
+    sfm = WaveformSpec(family="sfm", T=0.1, f_c=2000.0, delta_f=200.0,
+                       f_m=50.0)
+    with pytest.raises(ParameterError, match="finite"):
+        closed_af_surface(sfm, np.array([0.0, bad]), np.ones(1))
+    with pytest.raises(ParameterError, match="finite"):
+        closed_af_surface(sfm, np.zeros(1), np.array([1.0, bad]))
+    with pytest.raises(ParameterError, match="1-D"):
+        closed_af_surface(sfm, np.zeros((2, 2)), np.ones(1))

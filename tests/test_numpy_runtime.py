@@ -2,7 +2,7 @@
 
 Each numpy replacement of a former scipy call is checked side by side
 against that call: the closed-form Hann and Tukey tapers against
-``scipy.signal.windows``, the cumulative Simpson rule of ``gen_gsfm``
+``scipy.signal.windows``, the gsfm's cumulative Simpson rule
 against ``scipy.integrate.cumulative_simpson``, and the FFT-mask analytic
 signal of ``apply_response`` against ``scipy.signal.hilbert``.  Fresh
 interpreters then show that importing the package or the CLI loads no
@@ -30,7 +30,6 @@ from sonarwave.transducer import (
 )
 from sonarwave.waveforms import (
     _cumulative_simpson,
-    _support_times,
     generate,
     gsfm_if_modulation,
 )
@@ -57,9 +56,9 @@ def test_tapers_match_scipy_windows(n):
 
 
 def _refined_edges(spec):
-    """The 4x refined edge grid ``gen_gsfm`` integrates the IF on."""
-    fs = spec.resolved_sample_rate()
-    _, t0, n = _support_times(spec, fs)
+    """The 4x refined edge grid the gsfm phase integrates its IF on."""
+    sig = generate(spec)
+    fs, t0, n = sig.sample_rate, sig.t0, len(sig)
     return t0 + np.arange(4 * n + 1) / (4 * fs)
 
 

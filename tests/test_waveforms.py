@@ -12,13 +12,6 @@ from sonarwave.waveforms import (
     TruncationError,
     WaveformSpec,
     costas_code,
-    gen_bpsk,
-    gen_costas,
-    gen_cw,
-    gen_gsfm,
-    gen_lfm,
-    gen_qpsk,
-    gen_sfm,
     generate,
     gsfm_fourier_coeffs,
     gsfm_if_modulation,
@@ -103,6 +96,37 @@ class TestWaveformSpec:
             with pytest.raises(ParameterError, match="cap"):
                 WaveformSpec(**bad)
 
+    @pytest.mark.parametrize("fields, message", [
+        (dict(family="bpsk", code=(0, 1, 1, 0, 1), n_chips=10),
+         "disagrees with the 5-chip code"),
+        (dict(family="costas", code=(2, 4, 3, 1), n_chips=3),
+         "disagrees with the 4-chip code"),
+        (dict(family="costas", n_chips=2.5), "n_chips must be"),
+        (dict(family="bpsk", n_chips=-1), "n_chips must be"),
+    ])
+    def test_chips_must_match_code(self, fields, message):
+        with pytest.raises(ParameterError, match=message):
+            WaveformSpec(T=T, f_c=FC, delta_f=DF, **fields)
+
+    @pytest.mark.parametrize("fields", [
+        dict(family="bpsk"), dict(family="qpsk", code=()),
+        dict(family="costas"),
+    ], ids=lambda f: f["family"])
+    def test_coded_family_needs_chips(self, fields):
+        # Such a spec is valid to build (a sweep records its row failure),
+        # but there is no grid to sample.
+        with pytest.raises(ParameterError, match="needs at least one chip"):
+            generate(WaveformSpec(T=T, f_c=FC, delta_f=DF, **fields))
+
+    @pytest.mark.parametrize("symmetry", ["even", "nonsymmetric"])
+    @pytest.mark.parametrize("form", [{"alpha": 1.0}, {"cycles": 10.0}])
+    @pytest.mark.parametrize("duration", [4.0, 0.5])
+    def test_rho_beyond_float_range(self, symmetry, form, duration):
+        # T^rho overflows at T = 4 and underflows to 0 at T = 0.5.
+        with pytest.raises(ParameterError, match="rho is too large"):
+            WaveformSpec(family="gsfm", T=duration, f_c=FC, delta_f=DF,
+                         rho=2000.0, symmetry=symmetry, **form)
+
     def test_unknown_family(self):
         with pytest.raises(ParameterError):
             WaveformSpec(family="pm", T=T, f_c=FC)
@@ -123,12 +147,12 @@ class TestWaveformSpec:
 
 class TestLfm:
     def test_zero_sweep_is_cw(self):
-        lfm = gen_lfm(WaveformSpec(family="lfm", T=T, f_c=FC, delta_f=0.0))
-        cw = gen_cw(WaveformSpec(family="cw", T=T, f_c=FC))
+        lfm = generate(WaveformSpec(family="lfm", T=T, f_c=FC, delta_f=0.0))
+        cw = generate(WaveformSpec(family="cw", T=T, f_c=FC))
         np.testing.assert_allclose(lfm.samples, cw.samples, atol=1e-12)
 
     def test_sweep_rate(self):
-        sig = gen_lfm(WaveformSpec(family="lfm", T=T, f_c=FC, delta_f=DF))
+        sig = generate(WaveformSpec(family="lfm", T=T, f_c=FC, delta_f=DF))
         f_est = if_estimate(sig)
         t = sig.times[:-1]
         slope = np.polyfit(t, f_est, 1)[0]
@@ -137,7 +161,7 @@ class TestLfm:
     def test_acf_first_null(self):
         from sonarwave.ambiguity import acf
 
-        sig = gen_lfm(WaveformSpec(family="lfm", T=T, f_c=FC, delta_f=DF))
+        sig = generate(WaveformSpec(family="lfm", T=T, f_c=FC, delta_f=DF))
         delays = np.linspace(0.0, 0.01, 2001)
         cut = acf(sig, delays)
         # First local minimum of the envelope away from the peak.
@@ -154,12 +178,12 @@ class TestSfm:
     SPEC = WaveformSpec(family="sfm", T=T, f_c=FC, delta_f=DF, f_m=10.0)
 
     def test_if_range_equals_delta_f(self):
-        sig = gen_sfm(self.SPEC)
+        sig = generate(self.SPEC)
         f_est = if_estimate(sig)
         assert f_est.max() - f_est.min() == pytest.approx(DF, rel=0.01)
 
     def test_spectral_lines_spaced_f_m(self):
-        sig = gen_sfm(self.SPEC)
+        sig = generate(self.SPEC)
         sp = spectrum_of(sig, nfft=1 << 18)
         p = np.abs(sp.values) ** 2
         # The strongest spectral lines all sit at f_c + k f_m.
@@ -175,11 +199,11 @@ class TestSfm:
 class TestGsfm:
     def test_rho_one_collapses_to_sfm(self):
         f_m = 10.0
-        sfm = gen_sfm(
+        sfm = generate(
             WaveformSpec(family="sfm", T=T, f_c=FC, delta_f=DF, f_m=f_m,
                          symmetry="nonsymmetric")
         )
-        gsfm = gen_gsfm(
+        gsfm = generate(
             WaveformSpec(family="gsfm", T=T, f_c=FC, delta_f=DF, rho=1.0,
                          alpha=f_m, symmetry="nonsymmetric",
                          sample_rate=sfm.sample_rate)
@@ -190,7 +214,7 @@ class TestGsfm:
         spec = WaveformSpec(
             family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.0, cycles=7.0
         )
-        sig = gen_gsfm(spec)
+        sig = generate(spec)
         f_est = if_estimate(sig)
         t_mid = 0.5 * (sig.times[:-1] + sig.times[1:])
         f_true = FC + (DF / 2.0) * gsfm_if_modulation(spec, t_mid)
@@ -210,11 +234,11 @@ class TestGsfm:
 
 class TestCostas:
     def test_single_chip_is_cw(self):
-        costas = gen_costas(
+        costas = generate(
             WaveformSpec(family="costas", T=T, f_c=FC, delta_f=0.0,
                          n_chips=1, symmetry="nonsymmetric")
         )
-        cw = gen_cw(
+        cw = generate(
             WaveformSpec(family="cw", T=T, f_c=FC, symmetry="nonsymmetric",
                          sample_rate=costas.sample_rate)
         )
@@ -239,13 +263,13 @@ class TestCostas:
     def test_invalid_code_rejected(self):
         assert not is_costas((1, 2, 3, 4))
         with pytest.raises(CodeError):
-            gen_costas(
+            generate(
                 WaveformSpec(family="costas", T=T, f_c=FC, delta_f=DF,
                              code=(1, 2, 3, 4))
             )
 
     def test_phase_continuity(self):
-        sig = gen_costas(
+        sig = generate(
             WaveformSpec(family="costas", T=T, f_c=FC, delta_f=DF, n_chips=16)
         )
         # A phase jump at a chip boundary would spike the IF estimate far
@@ -271,11 +295,11 @@ class TestCostas:
 
 class TestBpsk:
     def test_all_zero_code_is_cw(self):
-        bpsk = gen_bpsk(
+        bpsk = generate(
             WaveformSpec(family="bpsk", T=T, f_c=FC, code=(0,) * 8,
                          symmetry="nonsymmetric")
         )
-        cw = gen_cw(
+        cw = generate(
             WaveformSpec(family="cw", T=T, f_c=FC, symmetry="nonsymmetric",
                          sample_rate=bpsk.sample_rate)
         )
@@ -283,10 +307,10 @@ class TestBpsk:
 
     def test_empty_code_rejected(self):
         with pytest.raises(ParameterError):
-            gen_bpsk(WaveformSpec(family="bpsk", T=T, f_c=FC))
+            generate(WaveformSpec(family="bpsk", T=T, f_c=FC))
 
     def test_rect_chip_sidelobes_6db_per_octave(self):
-        sig = gen_bpsk(
+        sig = generate(
             WaveformSpec(family="bpsk", T=T, f_c=FC, code=m_sequence(6))
         )
         sp = spectrum_of(sig, nfft=1 << 18)
@@ -309,7 +333,7 @@ class TestQpsk:
             family="qpsk", T=T, f_c=FC, code=(0,) * n_ch,
             symmetry="nonsymmetric",
         )
-        sig = gen_qpsk(spec)
+        sig = generate(spec)
         n_chip = len(sig) // n_ch
         # Baseband chip phase at mid-chip (before the transition ramp).
         base = np.angle(
@@ -320,7 +344,7 @@ class TestQpsk:
         np.testing.assert_allclose(np.diff(steps), np.pi / 2.0, atol=1e-6)
 
     def test_constant_envelope(self):
-        sig = gen_qpsk(
+        sig = generate(
             WaveformSpec(family="qpsk", T=T, f_c=FC, code=m_sequence(5))
         )
         mag = np.abs(sig.samples)
@@ -329,13 +353,13 @@ class TestQpsk:
     def test_papr_bound(self):
         from sonarwave.analysis import papr
 
-        sig = gen_qpsk(
+        sig = generate(
             WaveformSpec(family="qpsk", T=T, f_c=FC, code=m_sequence(6))
         )
         assert papr(sig) <= 3.3
 
     def test_sidelobes_12db_per_octave(self):
-        sig = gen_qpsk(
+        sig = generate(
             WaveformSpec(family="qpsk", T=T, f_c=FC, code=m_sequence(6))
         )
         sp = spectrum_of(sig, nfft=1 << 18)
@@ -354,7 +378,7 @@ class TestQpsk:
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ParameterError):
-            gen_qpsk(
+            generate(
                 WaveformSpec(family="qpsk", T=T, f_c=FC, code=(0, 1),
                              qpsk_sign=2)
             )
@@ -416,6 +440,24 @@ def test_unit_energy(spec):
 def test_parseval(spec):
     sig = generate(spec)
     assert spectrum_of(sig).energy == pytest.approx(sig.energy, rel=1e-6)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(family="cw"),
+    dict(family="lfm", delta_f=DF),
+    dict(family="sfm", delta_f=DF, f_m=10.0),
+    dict(family="gsfm", delta_f=DF, rho=2.0, cycles=7.0),
+], ids=lambda f: f["family"])
+def test_per_chip_taper_of_uncoded_family_is_whole_pulse(fields):
+    # An uncoded pulse is one chip, so its per-chip taper is the whole-pulse
+    # taper, bit for bit.
+    def sig(**taper):
+        return generate(WaveformSpec(T=T, f_c=FC, taper=Taper(**taper),
+                                     **fields)).samples
+
+    chip = sig(kind="hann", scope="per-chip")
+    assert np.array_equal(chip, sig(kind="hann"))
+    assert not np.array_equal(chip, sig())
 
 
 def test_nyquist_guard():
