@@ -13,9 +13,9 @@ forms that this module evaluates through the same coefficient machinery.
 
 The closed form is a double series over Bessel orders (n, m) of terms
 g1_n g2_m int exp(2j pi mu_nm t) dt over the support overlap [t1, t2],
-where mu_nm = x_n - y_m separates into one frequency per order.  It is
-summed by :func:`sonarwave.gbf._series_sum`, the evaluator the closed
-spectra share, as one real matrix product per Doppler row.
+where mu_nm = x_n - y_m separates into one frequency per order.  Its
+Cauchy kernel 1 / (pi mu_nm) is applied once per Doppler row by
+:func:`sonarwave.gbf._cauchy_sums`, the routine the closed spectra share.
 """
 
 from __future__ import annotations
@@ -26,7 +26,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .gbf import _CHUNK_BYTES, _series_sum, gbf_coeffs
+from .gbf import (
+    _SINGULAR,
+    _TILE,
+    _cauchy_sums,
+    _pair_terms,
+    gbf_coeffs,
+)
 from .signal_core import (
     ParameterError,
     SampledSignal,
@@ -211,31 +217,59 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _cis(phase: np.ndarray) -> np.ndarray:
-    """exp(1j * phase) for real ``phase``, at half the cost of np.exp."""
-    out = np.empty(phase.shape, dtype=np.complex128)
-    out.real = np.cos(phase)
-    out.imag = np.sin(phase)
+def _cis(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(1j * phase) for real ``phase`` into ``out``, at half the cost of
+    np.exp."""
+    np.cos(phase, out=out.real)
+    np.sin(phase, out=out.imag)
     return out
 
 
-def _czt(x: np.ndarray, f_lo: float, df: float, k: int, fs: float):
+def _wrapped(n: int, start: int, count: int):
+    """(circular, contiguous) slice pairs that cover ``count`` entries of a
+    length-``n`` circular buffer from index ``start``, which may be
+    negative, against a contiguous run from 0."""
+    i, o = start % n, 0
+    while o < count:
+        m = min(count - o, n - i)
+        yield slice(i, i + m), slice(o, o + m)
+        i, o = 0, o + m
+
+
+def _czt(x, f_lo, df, k, fs, ramp, real, chirp, bufs):
     """DTFT sum_n x[n] exp(-2j pi f n / fs) at f = f_lo + df * (0 .. k-1).
 
     Bluestein's chirp-z transform (Rabiner, Schafer & Rader, 1969):
     n m = (n^2 + m^2 - (m - n)^2) / 2 turns the sum into one convolution
-    with a chirp, taken by FFTs of a fast length >= len(x) + k - 1.
+    with a chirp, taken by FFTs of a fast length >= len(x) + k - 1.  Every
+    array it uses is the caller's: ``ramp`` holds 0, 1, 2, ..., ``real``
+    and ``chirp`` are float and complex scratch, all at least
+    max(len(x), k) long, and ``bufs`` are three complex arrays at least the
+    FFT length long.  The result is a view into ``bufs[0]``.
     """
     n = len(x)
     size = _fast_len(n + k - 1)
-    j = np.arange(max(n, k), dtype=float)
-    chirp = _cis(-np.pi * (df / fs) * (j * j))
-    a = x * _cis(-2.0 * np.pi * (f_lo / fs) * j[:n]) * chirp[:n]
-    h = np.zeros(size, dtype=np.complex128)
-    h[:k] = chirp[:k].conj()
-    h[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
-    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(h))
-    return conv[:k] * chirp[:k]
+    a, fa, fh = (b[:size] for b in bufs)
+    span = max(n, k)
+    j, phase, chirp = ramp[:span], real[:span], chirp[:span]
+    np.multiply(j, j, out=phase)
+    phase *= -np.pi * (df / fs)
+    _cis(phase, chirp)
+    np.multiply(j[:n], -2.0 * np.pi * (f_lo / fs), out=phase[:n])
+    _cis(phase[:n], a[:n])
+    a[:n] *= x
+    a[:n] *= chirp[:n]
+    a[n:] = 0.0
+    np.fft.fft(a, out=fa)
+    # The conjugate chirp at lags 0 .. k-1 and, wrapped, -(n-1) .. -1.
+    np.conjugate(chirp[:k], out=a[:k])
+    a[k : size - n + 1] = 0.0
+    np.conjugate(chirp[n - 1 : 0 : -1], out=a[size - n + 1 :])
+    np.fft.fft(a, out=fh)
+    fa *= fh
+    np.fft.ifft(fa, out=a)
+    a[:k] *= chirp[:k]
+    return a[:k]
 
 
 def _af_rows(
@@ -257,29 +291,54 @@ def _af_rows(
     One FFT of the product gives chi at the sample lags, delayed by
     a (1/eta - 1), which are interpolated onto ``delays``; cells outside a
     row's support are zero.
+
+    Every array as long as the FFT grid, a chirp-z transform or the lag
+    window lives in one workspace, allocated once per call before the row
+    loop and sized for the longest chirp-z transform the grid allows; each
+    row still takes its own transform length.  Freeing that one block
+    raises glibc's mmap threshold to its size, so the next calls of similar
+    size take it, and every smaller temporary, from heap pages already
+    mapped: about 0 minor page faults a call, against some 2,000 when each
+    row allocated its own arrays.
     """
     fs, t0, T = sig.sample_rate, sig.t0, sig.duration
+    n = len(sig)
     shift = (t0 + 0.5 / fs) * (1.0 / etas - 1.0)
     # chi(., eta) vanishes outside the support overlap, tau in (lo, hi).
     lo = t0 / etas - t0 - T
     hi = (t0 + T) / etas - t0
     first = np.clip(delays.min(), lo, hi) - shift
     last = np.clip(delays.max(), lo, hi) - shift
-    lags = np.arange(
-        int(np.floor(first.min() * fs)) - 1, int(np.ceil(last.max() * fs)) + 2
-    )
+    # The sample lags l0, l0 + 1, ... around the delay window.
+    l0 = int(np.floor(first.min() * fs)) - 1
+    count = int(np.ceil(last.max() * fs)) + 2 - l0
     # One FFT period, in lags, holds the window and the support beyond
     # either end of it, so no alias of chi lands in the window.
-    period = max((hi - shift).max() * fs - lags[0],
-                 lags[-1] - (lo - shift).min() * fs)
-    nfft = _fast_len(max(len(sig), int(np.ceil(period)) + 1))
+    period = max((hi - shift).max() * fs - l0,
+                 l0 + count - 1 - (lo - shift).min() * fs)
+    nfft = _fast_len(max(n, int(np.ceil(period)) + 1))
     df = fs / nfft
-    x = np.fft.fft(sig.samples, nfft)
-    power = np.abs(x) ** 2
-    # Signed bins k in [-half, nfft - half) holding all but _BAND_LOSS.
     half = nfft // 2
-    shifted = np.fft.fftshift(power)
-    cum = np.cumsum(shifted)
+    # Chirp-z buffers, for eta != 1 rows, hold any band the grid allows.
+    scaled_rows = bool(np.any(etas != 1.0))
+    size = max(nfft, count, _fast_len(n + nfft - 1) if scaled_rows else 0)
+    span = max(count, max(n, nfft) if scaled_rows else 0)
+    cplx = [nfft, size, size, size, span, count]
+    reals = [nfft, span, span, count]
+    work = np.empty(sum(cplx) + (sum(reals) + 1) // 2, dtype=np.complex128)
+    x, row, spec, spare, chirp, demod = _carve(work, cplx)
+    power, ramp, real, lag_t = _carve(work[sum(cplx):].view(float), reals)
+    np.cumsum(np.broadcast_to(1.0, span), out=ramp)
+    ramp -= 1.0
+
+    np.fft.fft(sig.samples, nfft, out=x)
+    np.abs(x, out=power)
+    power *= power
+    # Signed bins k in [-half, nfft - half) holding all but _BAND_LOSS.
+    shifted, cum = _carve(spec.view(float), [nfft, nfft])
+    shifted[:half] = power[nfft - half :]
+    shifted[half:] = power[: nfft - half]
+    np.cumsum(shifted, out=cum)
     out = np.zeros((len(etas), len(delays)))
     if cum[-1] == 0:
         return out
@@ -288,29 +347,50 @@ def _af_rows(
     ) - half
     # chi carries the carrier: near its nulls |chi| has kinks that linear
     # interpolation misses, while chi shifted down by the spectral
-    # centroid is a smooth envelope.
-    fbar = df * np.sum(np.arange(-half, nfft - half) * shifted) / cum[-1]
-    demod = _cis(2.0 * np.pi * fbar / fs * lags)
+    # centroid is a smooth envelope.  Summed by parts, sum_k k |X_k|^2 =
+    # (nfft - half) E - sum(cum), so no BLAS call wakes a spinning thread.
+    fbar = df * (nfft - half - np.sum(cum) / cum[-1])
+    np.add(ramp[:count], l0, out=lag_t)
+    np.multiply(lag_t, 2.0 * np.pi * fbar / fs, out=real[:count])
+    _cis(real[:count], demod)
+    lag_t /= fs
     for i, eta in enumerate(etas):
         if eta == 1.0:
-            prod = power
+            row[:nfft] = power
         else:
-            prod = np.zeros(nfft, dtype=np.complex128)
-            k = np.arange(max(int(np.floor(eta * k_lo)), -half),
-                          min(int(np.ceil(eta * k_hi)), nfft - half - 1) + 1)
-            if len(k):
-                scaled = _czt(sig.samples, k[0] * df / eta, df / eta, len(k),
-                              fs)
-                prod[k] = x[k] * scaled.conj()
-        chi = np.fft.fft(prod)[lags % nfft] * (df / fs**2 / np.sqrt(eta))
+            k0 = max(int(np.floor(eta * k_lo)), -half)
+            k1 = min(int(np.ceil(eta * k_hi)), nfft - half - 1)
+            scaled = spare[:0]
+            if k1 >= k0:
+                scaled = _czt(sig.samples, k0 * df / eta, df / eta,
+                              k1 - k0 + 1, fs, ramp, real, chirp,
+                              (spare, spec, row))
+            row[:nfft] = 0.0
+            for ring, run in _wrapped(nfft, k0, len(scaled)):
+                np.conjugate(scaled[run], out=row[ring])
+                row[ring] *= x[ring]
+        np.fft.fft(row[:nfft], out=spec[:nfft])
+        chi = spare[:count]
+        for ring, run in _wrapped(nfft, l0, count):
+            chi[run] = spec[ring]
+        chi *= df / fs**2 / np.sqrt(eta)
         # The eta = 1 row, acf, interpolates |chi| itself, so the cut stays
         # the linear interpolation of the exact discrete autocorrelation.
-        chi = np.abs(chi) if eta == 1.0 else chi * demod
+        if eta == 1.0:
+            chi = np.abs(chi, out=row.view(float)[:count])
+        else:
+            chi *= demod
         inside = (delays > lo[i]) & (delays < hi[i])
-        out[i, inside] = np.abs(
-            np.interp(delays[inside], lags / fs + shift[i], chi)
-        )
+        out[i, inside] = np.abs(np.interp(
+            delays[inside], np.add(lag_t, shift[i], out=real[:count]), chi
+        ))
     return out
+
+
+def _carve(buf: np.ndarray, sizes) -> list:
+    """Consecutive views of ``buf`` with the given lengths."""
+    ends = np.cumsum(sizes)
+    return [buf[e - m : e] for m, e in zip(sizes, ends)]
 
 
 def _finite_grid(values, name: str) -> np.ndarray:
@@ -398,8 +478,19 @@ def _closed_af_points(
     with g2_m = conj(g_m) exp(-2j pi f0 eta tau m), over the exact support
     overlap [t1, t2], with mu_nm = x_n - y_m, x_n = fc_eff (1 - eta) + f0 n
     and y_m = f0 eta m.  No narrowband approximation is made, so the series
-    is exact up to coefficient truncation; :func:`sonarwave.gbf._series_sum`
-    evaluates it.
+    is exact up to coefficient truncation.
+
+    Cauchy split: each integral is (e(t2) - e(t1)) / (2j pi mu_nm), so an
+    end t of the overlap contributes sum_nm A_n(t) C_nm R_m(tau + t), with
+    A_n(t) = g_n exp(2j pi x_n t), R_m(u) = conj(g_m) exp(-2j pi y_m u) and
+    the real kernel C_nm = 1 / (pi mu_nm).  Within one Doppler row each end
+    is either a support edge s for a given delay (fixed: A(s) C is the same
+    for every delay) or s / eta - tau (moving: tau + t = s / eta, so
+    C R(s / eta) is).  :func:`sonarwave.gbf._cauchy_sums` thus applies the
+    kernel once per row, to two rows and two columns, and each delay is one
+    dot product of length M or N per end: a row costs O(N M) whatever the
+    number of delays.  Pairs with |mu_nm| times the row's longest overlap
+    below ``_SINGULAR`` are summed as exact sinc terms instead.
 
     Raises :class:`TruncationError` before any allocation when the
     coefficients need orders beyond the truncation rule's cap.
@@ -412,6 +503,7 @@ def _closed_af_points(
     c = gbf_coeffs(betas)
     keep = np.abs(c.values) > _PRUNE
     g = c.values[keep]
+    gc = np.conj(g)
     orders = c.orders[keep].astype(float)
 
     # Exact support overlap of s(t) and s(eta (t + tau)).
@@ -419,20 +511,63 @@ def _closed_af_points(
     t2 = np.minimum(tb, tb / etas - taus)
     length = np.maximum(t2 - t1, 0.0)
 
-    # Delays per batch: the series sum's (delays x orders) arrays stay
-    # within the memory bound.
-    batch = max(_CHUNK_BYTES // (32 * len(g)), 1)
+    # Delays per batch: each (delays x orders) phase matrix is one kernel
+    # tile, so its products stay as small as the kernel's.
+    batch = max(_TILE // len(g), 1)
     out = np.zeros(len(taus))
     for eta in np.unique(etas):
         rows = np.nonzero((etas == eta) & (length > 0))[0]
+        if len(rows) == 0:
+            continue
         x = fc_eff * (1.0 - eta) + f0 * orders
         y = f0 * eta * orders
-        for lo in range(0, len(rows), batch):
-            sel = rows[lo : lo + batch]
-            g2 = np.conj(g) * np.exp(-2j * np.pi * np.outer(taus[sel], y))
-            terms = _series_sum(g, g2, x, y, t1[sel], t2[sel])
-            out[sel] = np.sqrt(eta) * np.abs(terms.sum(axis=1)) / T
+        # Shared factors of the ends t2 (at tb) and t1 (at ta): A(s) C for
+        # the delays that find an end at its edge s, C R(s / eta) for the
+        # others.
+        edges = np.array([tb, ta])
+        near = _SINGULAR / np.max(length[rows])
+        u, v = _cauchy_sums(
+            x, y, near, g * np.exp(2j * np.pi * np.outer(edges, x)),
+            (gc * np.exp(-2j * np.pi * np.outer(edges / eta, y))).T,
+        )
+        u *= gc
+        v *= g[:, None]
+        for b0 in range(0, len(rows), batch):
+            sel = rows[b0 : b0 + batch]
+            tau = taus[sel]
+            val = []
+            for e, t in enumerate((t2[sel], t1[sel])):
+                fixed = t == edges[e]
+                at = np.empty(len(sel), dtype=np.complex128)
+                at[fixed] = _phase_sums(
+                    -2.0 * np.pi * np.outer(tau[fixed] + t[fixed], y), u[e]
+                )
+                at[~fixed] = _phase_sums(
+                    2.0 * np.pi * np.outer(t[~fixed], x), v[:, e]
+                )
+                val.append(at)
+            chi = (val[0] - val[1]) / 2j
+            for m, terms in _pair_terms(g, x, y, near, t1[sel], t2[sel]):
+                phase = np.exp(-2j * np.pi * np.outer(tau, y[m]))
+                chi += np.sum(terms * phase * gc[m], axis=1)
+            out[sel] = np.sqrt(eta) * np.abs(chi) / T
     return out
+
+
+def _phase_sums(phase: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_m w_m exp(1j phase_pm) for each row p of the real ``phase``.
+
+    cos and sin of the phases meet the real and imaginary parts of ``w`` in
+    one real product: half the work of complex exponentials and a complex
+    matrix-vector product.
+    """
+    p_count = len(phase)
+    cs = np.empty((2 * p_count, phase.shape[1]))
+    np.cos(phase, out=cs[:p_count])
+    np.sin(phase, out=cs[p_count:])
+    r = cs @ np.stack([w.real, w.imag], axis=1)
+    c, s = r[:p_count], r[p_count:]
+    return (c[:, 0] - s[:, 1]) + 1j * (c[:, 1] + s[:, 0])
 
 
 def _closed_af(spec: WaveformSpec, model: FourierPhaseModel | None, tau, eta):

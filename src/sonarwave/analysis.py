@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gbf import _series_sum, gbf_coeffs
+from .gbf import _SINGULAR, _cauchy_sums, _pair_terms, gbf_coeffs
 from .signal_core import (
     ParameterError,
     SampledSignal,
@@ -127,21 +127,35 @@ def carson_gsfm(
     return delta_f + 2.0 * alpha * rho * t_eff ** (rho - 1.0)
 
 
+# Closed spectra of a band also evaluate the grid out to this many 1/T
+# beyond the outermost kept lines, so that they hold the whole grid's peak.
+_LINE_MARGIN = 4.0
+
+
 def closed_spectrum(
     spec: WaveformSpec,
     freqs: np.ndarray,
     model: FourierPhaseModel | None = None,
+    band: tuple[float, float] | None = None,
 ) -> Spectrum:
     """Bessel-series spectrum of a rectangular sfm or even gsfm spec.
 
     With :func:`harmonic_series`' pulse, sum_n c_n exp(2j pi f_n t) on
     [ta, tb] with lines f_n = fc_eff + n f0,
 
-        S(f) = T^-1/2 sum_n c_n int_ta^tb exp(2j pi (f_n - f) t) dt,
+        S(f) = T^-1/2 sum_n c_n int_ta^tb exp(2j pi (f_n - f) t) dt
+             = T^-1/2 [(u(tb) - u(ta)) / 2j + exact],
 
-    the AF's series sum (:func:`sonarwave.gbf._series_sum`) over the one
-    interval [ta, tb] with unit right-hand coefficients at ``freqs``, which
-    must ascend uniformly with at least 4 points per 1/T.
+    with u_m(t) = sum_n c_n exp(2j pi f_n t) C_nm exp(-2j pi f_m t) and the
+    Cauchy kernel C_nm = 1 / (pi (f_n - f_m)), applied once by
+    :func:`sonarwave.gbf._cauchy_sums`; frequencies within ``_SINGULAR`` / T
+    of a line take that line's term as an exact sinc.  ``freqs`` must
+    ascend uniformly with at least 4 points per 1/T.
+
+    With ``band = (lo, hi)`` only the contiguous grid points covering the
+    band and the line span, widened by ``_LINE_MARGIN`` / T, are evaluated
+    and returned: they hold the whole grid's peak, so ``power_db`` reads
+    the same there as on the whole grid.
     """
     betas, f0, fc_eff, ta, tb = harmonic_series(spec, model)
     c = gbf_coeffs(betas)
@@ -154,12 +168,24 @@ def closed_spectrum(
             "frequency grid must be 1-D, ascending and uniform, with at "
             "least 4 points per 1/T"
         )
-    vals = _series_sum(
-        c.values, np.ones((1, len(freqs))), fc_eff + f0 * c.orders, freqs,
-        np.array([ta]), np.array([tb]),
-    )[0]
-    return Spectrum(freqs=freqs, values=vals / np.sqrt(T),
-                    df=float(freqs[1] - freqs[0]))
+    df = float(freqs[1] - freqs[0])
+    lines = fc_eff + f0 * c.orders
+    if band is not None:
+        margin = _LINE_MARGIN / T
+        lo = np.fmin(band[0], lines[0] - margin)
+        hi = np.fmax(band[1], lines[-1] + margin)
+        freqs = freqs[np.searchsorted(freqs, lo):
+                      np.searchsorted(freqs, hi, side="right")]
+    ends = np.array([tb, ta])
+    near = _SINGULAR / T
+    u = _cauchy_sums(lines, freqs, near,
+                     c.values * np.exp(2j * np.pi * np.outer(ends, lines)))
+    u *= np.exp(-2j * np.pi * np.outer(ends, freqs))
+    vals = (u[0] - u[1]) / 2j
+    for m, terms in _pair_terms(c.values, lines, freqs, near,
+                                np.array([ta]), np.array([tb])):
+        np.add.at(vals, m, terms[0])
+    return Spectrum(freqs=freqs, values=vals / np.sqrt(T), df=df)
 
 
 def sfm_spectrum_closed(spec: WaveformSpec, freqs: np.ndarray) -> Spectrum:

@@ -151,7 +151,10 @@ def _cmd_spectrum(args) -> int:
         # In place: one grid-sized array when a series is refused.
         freqs = np.arange(nfft, dtype=float)
         freqs *= sig.sample_rate / nfft
-        sp = analysis.closed_spectrum(spec, freqs)
+        # Only the rows written, plus the lines that hold the peak.
+        band = (-np.inf if args.fmin is None else args.fmin,
+                np.inf if args.fmax is None else args.fmax)
+        sp = analysis.closed_spectrum(spec, freqs, band=band)
     else:
         sp = spectrum_of(generate(spec))
     sel = np.ones(len(sp.freqs), dtype=bool)

@@ -8,8 +8,9 @@ the unimodular generating function
 so that with unit weights the harmonic terms are ``beta_k sin(k theta)`` and
 the single-harmonic case reduces to the cylindrical J_n.  Complex weights
 rotate each harmonic's phase (and rescale its amplitude).  Both closed forms
-share this module's truncation rule (:func:`_tail_coeffs`) and its series
-evaluator (:func:`_series_sum`).
+share this module's truncation rule (:func:`_tail_coeffs`), its Cauchy
+kernel (:func:`_cauchy_sums`) and the exact terms of the pairs the kernel
+leaves out (:func:`_pair_terms`).
 """
 
 from __future__ import annotations
@@ -64,16 +65,28 @@ _TAIL = 1e-13
 # Largest order estimate the truncation rule accepts.  The biggest estimate
 # met so far is 1072 (benchmark af-closed and af-numeric pools, seeds 1-10;
 # the specs/ corpus peaks at 353), so 2^14 leaves 15x headroom.  At the cap
-# one AF delay already costs about 4 * (2^15)^2 = 4e9 flops per Doppler row,
+# one AF Doppler row already builds a (2^15)^2 = 1e9-entry Cauchy kernel,
 # so a larger order is a pathological spec (say an sfm with f_m near 0):
 # refusing it up front keeps the coefficient FFT from asking for gigabytes.
 _N_MAX_CAP = 1 << 14
 
-# Memory bound for every temporary of :func:`_series_sum`.
+# Memory bound for each block of :func:`_pair_terms`.
 _CHUNK_BYTES = 1 << 26
 
+# Doubles in one tile of the Cauchy kernel that :func:`_cauchy_sums` builds,
+# and the least tile side.  Measured on the benchmark's af-closed pool
+# (2-vCPU VM, median per surface): 2^16 takes 23 ms of wall and CPU time
+# alike, while smaller tiles pay numpy's per-call overhead (31 ms at 2^15,
+# 84 ms at 2^12).  A side holds at most 4 real rows or columns, so at 2^16
+# each tile product is 2^18 multiply-adds, the most OpenBLAS keeps on one
+# thread; from 2^17 up its second thread takes a share and spins between
+# products, which doubles CPU time (65 ms at 2^17, 53 ms at 2^22) and
+# gains no wall time.
+_TILE = 1 << 16
+_TILE_SIDE = 1 << 8
+
 # Order pairs with |mu| * (longest interval) below this bypass the Cauchy
-# kernel of :func:`_series_sum` and are summed as exact sinc terms.  The
+# kernel of :func:`_cauchy_sums` and are summed as exact sinc terms.  The
 # kernel's endpoint terms cancel as mu -> 0, losing about eps / (pi |mu| L)
 # per term, so this keeps the loss near 1e-13 of the longest interval.
 _SINGULAR = 1e-3
@@ -162,58 +175,79 @@ def _fft_points(n_max: int, k_count: int) -> int:
     return 1 << int(np.ceil(np.log2(max(8 * n_max, 4 * k_count, 256))))
 
 
-def _series_sum(g1, g2, x, y, t1, t2) -> np.ndarray:
-    """Per-order terms of a double harmonic series over P intervals.
+def _singular_pairs(x: np.ndarray, y: np.ndarray, near: float):
+    """Index arrays (n, m) of the pairs with |x_n - y_m| < ``near``.
 
-    Returns the (P, M) array of
-    sum_n g1_n g2_pm int_t1p^t2p exp(2j pi (x_n - y_m) t) dt for ``g1`` at
-    ascending frequencies ``x`` (N), ``g2`` (P, M) at ascending ``y`` (M)
-    and one interval [t1_p, t2_p] per row.
+    x and y ascend, so each x_n meets one run of y_m; the pairs come
+    ordered by n.
+    """
+    lo = np.searchsorted(y, x - near, side="right")
+    count = np.searchsorted(y, x + near, side="left") - lo
+    ni = np.repeat(np.arange(len(x)), count)
+    mj = np.arange(len(ni)) + np.repeat(lo - np.cumsum(count) + count, count)
+    return ni, mj
 
-    Cauchy split: each integral is (e(t2) - e(t1)) / (2j pi mu_nm), with
-    mu_nm = x_n - y_m, and e(t) factors by order, so the terms are
-    (1/2j) [(A(t2) C) B(t2) - (A(t1) C) B(t1)] with A_n(t) =
-    g1_n exp(2j pi x_n t), B_m(t) = g2_m exp(-2j pi y_m t) and the real
-    kernel C_nm = 1 / (pi mu_nm): one real matrix product for every
-    interval.  Pairs with |mu_nm| times the longest interval below
-    ``_SINGULAR`` get C = 0 and are added as exact sinc terms instead.  C
-    is built in blocks of orders n so that no temporary exceeds
+
+def _cauchy_sums(x, y, near, left, right=None):
+    """Both products of the Cauchy kernel C_nm = 1 / (pi (x_n - y_m)).
+
+    Returns ``(left @ C, C @ right)`` for complex ``left`` (L, N) and
+    ``right`` (M, R), at ascending ``x`` (N) and ``y`` (M); without
+    ``right``, only ``left @ C``.  Pairs with |x_n - y_m| < ``near`` get
+    C = 0; callers add them as exact terms (:func:`_pair_terms`).  This is
+    the one place the kernel is built: in tiles of ``_TILE`` doubles over
+    both n and m, each applied to both sides as real products before the
+    next is built, so the kernel stays in cache and one pass costs O(N M)
+    however many rows and columns the sides hold.
+    """
+    n_count, m_count = len(x), len(y)
+    side = np.concatenate([left.real, left.imag])
+    lc = np.zeros((len(side), m_count))
+    if right is not None:
+        other = np.concatenate([right.real, right.imag], axis=1)
+        cr = np.zeros((n_count, other.shape[1]))
+    cols = min(m_count, max(_TILE_SIDE, _TILE // n_count)) or 1
+    rows = min(n_count, _TILE // cols)
+    buf = np.empty(rows * cols)
+    for n0 in range(0, n_count, rows):
+        xb = x[n0 : n0 + rows]
+        for m0 in range(0, m_count, cols):
+            yb = y[m0 : m0 + cols]
+            kern = np.subtract.outer(
+                xb, yb, out=buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
+            )
+            if yb[0] < xb[-1] + near and yb[-1] > xb[0] - near:
+                kern[_singular_pairs(xb, yb, near)] = np.inf
+            np.divide(1.0 / np.pi, kern, out=kern)
+            lc[:, m0 : m0 + cols] += side[:, n0 : n0 + rows] @ kern
+            if right is not None:
+                cr[n0 : n0 + rows] += kern @ other[m0 : m0 + cols]
+    lc = lc[: len(left)] + 1j * lc[len(left) :]
+    if right is None:
+        return lc
+    r = right.shape[1]
+    return lc, cr[:, :r] + 1j * cr[:, r:]
+
+
+def _pair_terms(g1, x, y, near, t1, t2):
+    """Exact terms of the pairs :func:`_cauchy_sums` leaves out.
+
+    Yields ``(m, terms)`` blocks over the pairs (n, m) with
+    |x_n - y_m| < ``near``: ``terms`` is the (P, K) array of
+    g1_n int_t1p^t2p exp(2j pi (x_n - y_m) t) dt as sinc terms, one row
+    per interval, and ``m`` the pairs' y indices.  No block exceeds
     ``_CHUNK_BYTES``.
     """
-    p_count, m_count = g2.shape
     length = t2 - t1
     center = 0.5 * (t1 + t2)
-    # Endpoint factors, indexed (end, interval, order) with end 0 at t2 and
-    # end 1 at t1; the left ones as one real (4P x N) matrix.
-    ends = np.stack([t2, t1])[:, :, None]
-    a = g1 * np.exp(2j * np.pi * ends * x)
-    left = np.stack([a.real, a.imag], axis=1).reshape(4 * p_count, len(x))
-    split = np.zeros((4 * p_count, m_count))
-    exact = np.zeros((p_count, m_count), dtype=np.complex128)
-    near = _SINGULAR / np.max(length)
-    step = max(_CHUNK_BYTES // (8 * m_count), 1)
-    pairs = max(_CHUNK_BYTES // (16 * p_count), 1)
-    buf = np.empty((min(step, len(x)), m_count))
+    step = max(_CHUNK_BYTES // (8 * max(len(y), 1)), 1)
+    pairs = max(_CHUNK_BYTES // (16 * len(length)), 1)
     for n0 in range(0, len(x), step):
-        # Singular pairs: x and y ascend, so each x_n meets one run of y_m.
-        xb = x[n0 : n0 + step]
-        lo = np.searchsorted(y, xb - near, side="right")
-        count = np.searchsorted(y, xb + near, side="left") - lo
-        ni = np.repeat(np.arange(len(xb)), count)
-        mj = np.arange(len(ni)) + np.repeat(lo - np.cumsum(count) + count, count)
-        # Cauchy kernel 1 / (pi mu) in one reused buffer; singular -> 0.
-        kern = np.subtract.outer(xb, y, out=buf[: len(xb)])
-        kern[ni, mj] = np.inf
-        np.divide(1.0 / np.pi, kern, out=kern)
-        split += left[:, n0 : n0 + step] @ kern
-        # Exact sinc terms of the singular pairs, in memory-bounded slices.
+        ni, mj = _singular_pairs(x[n0 : n0 + step], y, near)
         ni += n0
         for s0 in range(0, len(ni), pairs):
             n_s, m_s = ni[s0 : s0 + pairs], mj[s0 : s0 + pairs]
             mu = x[n_s] - y[m_s]
             terms = np.outer(length, g1[n_s]) * np.sinc(np.outer(length, mu))
             terms *= np.exp(2j * np.pi * np.outer(center, mu))
-            np.add.at(exact, (slice(None), m_s), terms)
-    split = split.reshape(2, 2, p_count, m_count)
-    at_end = (split[:, 0] + 1j * split[:, 1]) * np.exp(-2j * np.pi * ends * y)
-    return g2 * ((at_end[0] - at_end[1]) / 2j + exact)
+            yield m_s, terms

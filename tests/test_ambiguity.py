@@ -1,5 +1,8 @@
 """Tests for broadband ambiguity surfaces, cuts, and closed-form series."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,6 +226,23 @@ class TestClosedForms:
         spec = WaveformSpec.from_dict(huge_order_sfm)
         with pytest.raises(TruncationError, match="cap"):
             closed_af_surface(spec, np.linspace(-0.1, 0.1, 3), np.ones(1))
+
+    def test_readme_grid_bounded_memory(self, spec_dir):
+        # The README's fig6 surface at 101 x 101: the Cauchy kernel is built
+        # in cache-sized tiles and each delay is one dot product per end,
+        # so no temporary grows with delays x orders^2.
+        spec = WaveformSpec.from_dict(
+            json.loads((spec_dir / "fig6_gsfm.json").read_text())
+        )
+        tracemalloc.start()
+        try:
+            surf = closed_af_surface(spec, np.linspace(-0.25, 0.25, 101),
+                                     np.linspace(0.99, 1.01, 101))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert surf.values.max() == 1.0
 
 
 class TestCutStatistics:

@@ -8,7 +8,9 @@ kernel must reproduce it to 1e-10 of the surface peak, with the same orders
 (from ``gbf_coeffs``) and pruning, on the README specs and on drawn
 rectangular sfm and even gsfm specs.  Every grid holds the eta = 1 row
 (exact mu = 0 pairs), delays next to +-T where the overlap vanishes, and
-eta != 1 rows.
+rows at eta < 1 and eta > 1, and every grid meets each combination of
+fixed overlap ends (at a support edge) and moving ones (at edge / eta -
+tau).
 """
 
 import json
@@ -68,18 +70,29 @@ def _tensor_af_points(betas, f0, fc_eff, ta, tb, taus, etas):
 
 
 def _grid(T, v):
-    """Delays across +-T, including next to +-T; eta = 1 and eta(+-v)."""
-    taus = T * np.array(
-        [-1.0 + 1e-9, -0.999, -0.31, 0.0, 0.45, 0.9995, 1.0 - 1e-12]
-    )
+    """Delays across +-T, including next to +-T and just below 0; Doppler
+    rows at eta = 1, eta(v) > 1 and eta(-0.4 v) < 1."""
+    taus = T * np.array([-1.0 + 1e-9, -0.999, -0.6, -0.31, -1e-4, 0.0, 0.2,
+                         0.45, 0.9995, 1.0 - 1e-12])
     etas = np.array([1.0, doppler_eta(v), doppler_eta(-0.4 * v)])
     return taus, etas
+
+
+def _end_kinds(ta, tb, taus, etas):
+    """(t1 at ta, t2 at tb) for each cell with a nonempty overlap: an end
+    at its support edge is fixed, one at edge / eta - tau is moving."""
+    t1 = np.maximum(ta, ta / etas - taus)
+    t2 = np.minimum(tb, tb / etas - taus)
+    cells = t2 > t1
+    return set(zip((t1 == ta)[cells], (t2 == tb)[cells]))
 
 
 def _assert_matches_reference(spec, v):
     args = harmonic_series(spec)
     taus, etas = _grid(spec.T, v)
     tt, ee = (a.ravel() for a in np.meshgrid(taus, etas))
+    # Every fixed/moving pair of overlap ends occurs on the grid.
+    assert len(_end_kinds(args[3], args[4], tt, ee)) == 4
     ref = _tensor_af_points(*args, tt, ee)
     new = _closed_af_points(*args, tt, ee)
     assert ref.max() > 0.5

@@ -11,6 +11,11 @@ the grid of acceptance criterion 4 and over edge grids: delays next to
 to the (0.5, 2) bounds.  It must also agree with the closed form on drawn
 rectangular sfm and even gsfm specs, keep a far-off delay from growing
 its FFT, and give zero rows where there is nothing to correlate.
+
+``_af_rows`` and ``_czt`` below are the frequency-domain kernel before its
+arrays moved into one workspace per call; the kernel must reproduce them to
+1e-12 of the peak through ``ambiguity_numeric`` and ``acf`` on specs like
+the benchmark's af-numeric pool.
 """
 
 import json
@@ -22,8 +27,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
+from sonarwave import ambiguity
 from sonarwave.ambiguity import (
-    _af_rows,
+    _BAND_LOSS,
+    _fast_len,
     acf,
     ambiguity_numeric,
     closed_af_surface,
@@ -38,6 +45,152 @@ from sonarwave.signal_core import (
 from sonarwave.waveforms import WaveformSpec, generate, m_sequence
 
 RTOL = 1e-3
+
+
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """exp(1j * phase) for real ``phase``, at half the cost of np.exp."""
+    out = np.empty(phase.shape, dtype=np.complex128)
+    out.real = np.cos(phase)
+    out.imag = np.sin(phase)
+    return out
+
+
+def _czt(x: np.ndarray, f_lo: float, df: float, k: int, fs: float):
+    """DTFT sum_n x[n] exp(-2j pi f n / fs) at f = f_lo + df * (0 .. k-1).
+
+    Bluestein's chirp-z transform (Rabiner, Schafer & Rader, 1969):
+    n m = (n^2 + m^2 - (m - n)^2) / 2 turns the sum into one convolution
+    with a chirp, taken by FFTs of a fast length >= len(x) + k - 1.
+    """
+    n = len(x)
+    size = _fast_len(n + k - 1)
+    j = np.arange(max(n, k), dtype=float)
+    chirp = _cis(-np.pi * (df / fs) * (j * j))
+    a = x * _cis(-2.0 * np.pi * (f_lo / fs) * j[:n]) * chirp[:n]
+    h = np.zeros(size, dtype=np.complex128)
+    h[:k] = chirp[:k].conj()
+    h[size - n + 1 :] = chirp[n - 1 : 0 : -1].conj()
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(h))
+    return conv[:k] * chirp[:k]
+
+
+def _af_rows(
+    sig: SampledSignal, delays: np.ndarray, etas: np.ndarray
+) -> np.ndarray:
+    """|chi(tau, eta)| on ``delays`` (columns) for each of ``etas`` (rows).
+
+    In the frequency domain the wideband AF is
+
+        chi(tau, eta) = eta^-1/2 int S(f) conj(S(f / eta)) exp(-2j pi f tau) df
+
+    with S(f) = X(f) exp(-2j pi f a) / fs, X the DTFT of the samples and a
+    the time of the first one.  X is taken once by an FFT on the grid
+    f_k = k df, k signed (|f| < fs/2, the samples' own band), whose delay
+    period 1/df keeps every alias of the delay window off the support.
+    Each eta != 1 row takes X(f_k / eta) exactly by one chirp-z transform,
+    over the band holding all but ``_BAND_LOSS`` of the energy; the eta = 1
+    row uses |X|^2 on the whole grid, the exact discrete autocorrelation.
+    One FFT of the product gives chi at the sample lags, delayed by
+    a (1/eta - 1), which are interpolated onto ``delays``; cells outside a
+    row's support are zero.
+    """
+    fs, t0, T = sig.sample_rate, sig.t0, sig.duration
+    shift = (t0 + 0.5 / fs) * (1.0 / etas - 1.0)
+    # chi(., eta) vanishes outside the support overlap, tau in (lo, hi).
+    lo = t0 / etas - t0 - T
+    hi = (t0 + T) / etas - t0
+    first = np.clip(delays.min(), lo, hi) - shift
+    last = np.clip(delays.max(), lo, hi) - shift
+    lags = np.arange(
+        int(np.floor(first.min() * fs)) - 1, int(np.ceil(last.max() * fs)) + 2
+    )
+    # One FFT period, in lags, holds the window and the support beyond
+    # either end of it, so no alias of chi lands in the window.
+    period = max((hi - shift).max() * fs - lags[0],
+                 lags[-1] - (lo - shift).min() * fs)
+    nfft = _fast_len(max(len(sig), int(np.ceil(period)) + 1))
+    df = fs / nfft
+    x = np.fft.fft(sig.samples, nfft)
+    power = np.abs(x) ** 2
+    # Signed bins k in [-half, nfft - half) holding all but _BAND_LOSS.
+    half = nfft // 2
+    shifted = np.fft.fftshift(power)
+    cum = np.cumsum(shifted)
+    out = np.zeros((len(etas), len(delays)))
+    if cum[-1] == 0:
+        return out
+    k_lo, k_hi = np.searchsorted(
+        cum, [0.5 * _BAND_LOSS * cum[-1], (1.0 - 0.5 * _BAND_LOSS) * cum[-1]]
+    ) - half
+    # chi carries the carrier: near its nulls |chi| has kinks that linear
+    # interpolation misses, while chi shifted down by the spectral
+    # centroid is a smooth envelope.
+    fbar = df * np.sum(np.arange(-half, nfft - half) * shifted) / cum[-1]
+    demod = _cis(2.0 * np.pi * fbar / fs * lags)
+    for i, eta in enumerate(etas):
+        if eta == 1.0:
+            prod = power
+        else:
+            prod = np.zeros(nfft, dtype=np.complex128)
+            k = np.arange(max(int(np.floor(eta * k_lo)), -half),
+                          min(int(np.ceil(eta * k_hi)), nfft - half - 1) + 1)
+            if len(k):
+                scaled = _czt(sig.samples, k[0] * df / eta, df / eta, len(k),
+                              fs)
+                prod[k] = x[k] * scaled.conj()
+        chi = np.fft.fft(prod)[lags % nfft] * (df / fs**2 / np.sqrt(eta))
+        # The eta = 1 row, acf, interpolates |chi| itself, so the cut stays
+        # the linear interpolation of the exact discrete autocorrelation.
+        chi = np.abs(chi) if eta == 1.0 else chi * demod
+        inside = (delays > lo[i]) & (delays < hi[i])
+        out[i, inside] = np.abs(
+            np.interp(delays[inside], lags / fs + shift[i], chi)
+        )
+    return out
+
+
+def _pool_specs():
+    """Specs like the benchmark's af-numeric pool: 2 kHz, T = 0.5 s,
+    rectangular sfm and even gsfm over the spec corpus's ranges, a Costas
+    code under each taper and the untapered 255-chip BPSK."""
+    rng = np.random.default_rng(2)
+    specs = []
+    for delta_f in rng.uniform(200.0, 648.0, 4):
+        specs.append(WaveformSpec(family="sfm", T=0.5, f_c=2000.0,
+                                  delta_f=delta_f, f_m=10.0))
+    for delta_f, rho, cycles in zip(rng.uniform(200.0, 648.0, 4),
+                                    rng.uniform(2.0, 2.55, 4),
+                                    rng.uniform(7.0, 15.0, 4)):
+        specs.append(WaveformSpec(family="gsfm", T=0.5, f_c=2000.0,
+                                  delta_f=delta_f, rho=rho, cycles=cycles,
+                                  symmetry="even"))
+    for taper, n_chips in ((Taper(), 10), (Taper("tukey", 0.4), 16),
+                           (Taper("hann"), 18)):
+        specs.append(WaveformSpec(family="costas", T=0.5, f_c=2000.0,
+                                  delta_f=400.0, n_chips=n_chips,
+                                  taper=taper))
+    specs.append(WaveformSpec(family="bpsk", T=0.5, f_c=2000.0,
+                              code=m_sequence(8)))
+    return specs
+
+
+@pytest.mark.parametrize(
+    "spec", _pool_specs(),
+    ids=[f"{s.family}-{i}" for i, s in enumerate(_pool_specs())],
+)
+def test_workspace_kernel_matches_former_kernel(spec):
+    sig = generate(spec)
+    T = spec.T
+    taus = np.linspace(-T / 2, T / 2, 21)
+    etas = np.array([doppler_eta(v) for v in np.linspace(-20.0, 20.0, 5)])
+    mag = _af_rows(sig, taus, etas)
+    ref = mag**2 / np.max(mag**2)
+    assert np.max(np.abs(ambiguity_numeric(sig, taus, etas).values - ref)) \
+        <= 1e-12
+    # acf interpolates the eta = 1 row's |chi|, here on a finer grid.
+    fine = np.linspace(-T, T, 801)
+    cut = _af_rows(sig, fine, np.ones(1))[0]
+    assert np.max(np.abs(acf(sig, fine).values - cut / cut.max())) <= 1e-12
 
 
 def _resample_af_row(sig, eta, delays):
@@ -82,7 +235,7 @@ def test_matches_resampling_kernel(spec_dir, name):
         spec = _load(spec_dir, name)
     sig = generate(spec)
     for delays, etas in _grids(spec.T):
-        new = _af_rows(sig, delays, etas)
+        new = ambiguity._af_rows(sig, delays, etas)
         ref = np.array([_resample_af_row(sig, e, delays) for e in etas])
         assert np.max(np.abs(new - ref)) <= RTOL * sig.energy
 
