@@ -56,48 +56,76 @@ def papr(sig: SampledSignal) -> float:
     return float(10.0 * np.log10(np.max(x**2) / mean_p))
 
 
+def _cumulative_energy(spec: Spectrum):
+    """Bin edges, the energy below each edge, and the total energy.
+
+    ``cum[i]`` is the energy up to the upper edge of bin i - 1.  A band edge
+    between two bin edges reads ``cum`` by linear interpolation, which is
+    the fractional-bin trapezoid rule.
+    """
+    p = np.abs(spec.values) ** 2
+    cum = np.concatenate([[0.0], np.cumsum(p) * spec.df])
+    edges = np.concatenate(
+        [[spec.freqs[0] - spec.df / 2], spec.freqs + spec.df / 2]
+    )
+    return edges, cum, cum[-1]
+
+
+def _band_fraction(table, f_c: float, delta_F: float) -> float:
+    """Fraction of the energy in [f_c - dF/2, f_c + dF/2] of ``table``."""
+    edges, cum, total = table
+    e_lo, e_hi = np.interp(
+        [f_c - delta_F / 2.0, f_c + delta_F / 2.0], edges, cum
+    )
+    return float((e_hi - e_lo) / total)
+
+
 def spectral_efficiency(spec: Spectrum, f_c: float, delta_F: float) -> float:
     """Fraction of energy inside [f_c - dF/2, f_c + dF/2].
 
     Band edges are handled by fractional-bin trapezoid interpolation of the
     cumulative energy.
     """
+    if not (np.isfinite(f_c) and np.isfinite(delta_F)):
+        raise ParameterError("f_c and delta_F must be finite")
     if delta_F < 0:
         raise ParameterError("delta_F must be nonnegative")
-    lo, hi = f_c - delta_F / 2.0, f_c + delta_F / 2.0
+    table = _cumulative_energy(spec)
+    edges = table[0]
     slack = 1e-9 * (abs(spec.freqs[-1]) + spec.df)
     if (
-        lo < spec.freqs[0] - spec.df / 2 - slack
-        or hi > spec.freqs[-1] + spec.df / 2 + slack
+        f_c - delta_F / 2.0 < edges[0] - slack
+        or f_c + delta_F / 2.0 > edges[-1] + slack
     ):
         raise ParameterError("band extends outside the spectrum grid")
-    p = np.abs(spec.values) ** 2
-    cum = np.concatenate([[0.0], np.cumsum(p) * spec.df])
-    # cum[i] is the energy up to the upper edge of bin i-1.
-    edges = np.concatenate(
-        [[spec.freqs[0] - spec.df / 2], spec.freqs + spec.df / 2]
-    )
-    total = cum[-1]
-    e_lo, e_hi = np.interp([lo, hi], edges, cum)
-    return float((e_hi - e_lo) / total)
+    return _band_fraction(table, f_c, delta_F)
 
 
 def bandwidth_98(
     spec: Spectrum, f_c: float, fraction: float = 0.98, tol_hz: float = 0.1
 ) -> float:
-    """Smallest band centered on f_c containing ``fraction`` of the energy."""
-    max_df = 2.0 * min(
-        f_c - (spec.freqs[0] - spec.df / 2),
-        (spec.freqs[-1] + spec.df / 2) - f_c,
-    )
-    if spectral_efficiency(spec, f_c, max_df) < fraction:
+    """Smallest band centered on f_c containing ``fraction`` of the energy.
+
+    Bisects the band width to within ``tol_hz`` on one cumulative-energy
+    table.
+    """
+    if not 0 < fraction <= 1:
+        raise ParameterError("fraction must lie in (0, 1]")
+    if not (np.isfinite(tol_hz) and tol_hz > 0):
+        raise ParameterError("tol_hz must be finite and positive")
+    table = _cumulative_energy(spec)
+    edges = table[0]
+    max_df = 2.0 * min(f_c - edges[0], edges[-1] - f_c)
+    if not max_df >= 0:
+        raise ParameterError("f_c must lie on the spectrum grid")
+    if _band_fraction(table, f_c, max_df) < fraction:
         raise ParameterError(
             "spectrum grid too narrow to reach the requested energy fraction"
         )
     lo, hi = 0.0, max_df
     while hi - lo > tol_hz:
         mid = 0.5 * (lo + hi)
-        if spectral_efficiency(spec, f_c, mid) >= fraction:
+        if _band_fraction(table, f_c, mid) >= fraction:
             hi = mid
         else:
             lo = mid

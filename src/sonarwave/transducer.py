@@ -277,20 +277,28 @@ def apply_response(
     Output energy is NOT renormalized -- it reflects the waveform's taper,
     spectral containment, and the chain response jointly.
     """
-    x = sig.samples.real
-    if np.max(np.abs(x)) == 0:
-        raise ParameterError("cannot drive an all-zero signal")
-    n = len(x)
-    spec = np.fft.rfft(x)
-    f = np.fft.rfftfreq(n, d=1.0 / sig.sample_rate)
-    if f[-1] < resp.freqs[0] or f[1] > resp.freqs[-1]:
-        raise FormatError("signal band lies entirely outside the response")
+    half, n = _filtered_half(sig, resp)
     return SampledSignal(
-        samples=_analytic(spec * resp.response_at(f), n),
+        samples=_analytic(half, n),
         sample_rate=sig.sample_rate,
         t0=sig.t0,
         energy_normalized=False,
     )
+
+
+def _filtered_half(sig: SampledSignal, resp: TransducerResponse):
+    """rfft of the real drive times the response, and the drive length."""
+    x = sig.samples.real
+    if np.max(np.abs(x)) == 0:
+        raise ParameterError("cannot drive an all-zero signal")
+    n = len(x)
+    if n < 2:
+        raise ParameterError("cannot drive a signal of one sample")
+    spec = np.fft.rfft(x)
+    f = np.fft.rfftfreq(n, d=1.0 / sig.sample_rate)
+    if f[-1] < resp.freqs[0] or f[1] > resp.freqs[-1]:
+        raise FormatError("signal band lies entirely outside the response")
+    return spec * resp.response_at(f), n
 
 
 def _analytic(half: np.ndarray, n: int) -> np.ndarray:
@@ -306,6 +314,20 @@ def _analytic(half: np.ndarray, n: int) -> np.ndarray:
     if n % 2 == 0:
         full[n // 2] = half[-1].real
     return np.fft.ifft(full)
+
+
+def _analytic_energy(half: np.ndarray, n: int, sample_rate: float) -> float:
+    """Energy of ``_analytic(half, n)`` at ``sample_rate``, by Parseval.
+
+    Over the same mask: the real parts of DC and (n even) Nyquist once,
+    each positive bin 4 times in power, all divided by n * sample_rate.
+    """
+    positive = half[1 : len(half) - 1 if n % 2 == 0 else len(half)]
+    power = 4.0 * np.sum(positive.real ** 2 + positive.imag ** 2)
+    power += half[0].real ** 2
+    if n % 2 == 0:
+        power += half[-1].real ** 2
+    return float(power / (n * sample_rate))
 
 
 def peak_normalized(sig: SampledSignal) -> SampledSignal:
@@ -325,18 +347,24 @@ def trw_report(
 
     Every waveform is peak-normalized, driven through ``resp``, and its
     output energy compared to the reference row's:
-    ``e_tilde_db = 10 log10(E_w / E_ref)``.  Row failures are recorded
-    without aborting the report.
+    ``e_tilde_db = 10 log10(E_w / E_ref)``.  The energy is that of
+    :func:`apply_response`'s TRW, taken from the filtered spectrum.  Row
+    failures are recorded without aborting the report; labels must be
+    distinct.
     """
     labels = [label for label, _ in specs]
     if reference not in labels:
         raise ParameterError(f"reference {reference!r} not among the specs")
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ParameterError(f"repeated spec label(s): {repeated}")
     energies: dict = {}
     errors: dict = {}
     for label, sp in specs:
         try:
             drive = peak_normalized(generate(sp))
-            energies[label] = apply_response(drive, resp).energy
+            half, n = _filtered_half(drive, resp)
+            energies[label] = _analytic_energy(half, n, drive.sample_rate)
         except ParameterError as exc:
             errors[label] = str(exc)
     if reference not in energies:

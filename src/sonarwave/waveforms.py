@@ -240,16 +240,13 @@ def gsfm_if_modulation(spec: WaveformSpec, t: np.ndarray) -> np.ndarray:
     return np.cos(2 * np.pi * spec.alpha * arg)
 
 
-def _simpson_intervals(y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Integral over [x_i, x_i+1] of the quadratic through x_i..x_i+2.
-
-    ``h`` holds the steps x_i+1 - x_i; the rule allows unequal steps.
+def _simpson_step(h0, h1, y0, y1, y2):
+    """Integral over the step h0 from y0 to y1 of the quadratic through
+    y0, y1 and y2, where h1 is the step from y1 to y2 (steps may differ).
     """
-    r = h[:-1] / (h[:-1] + h[1:])
-    rq = r * (h[:-1] / h[1:])
-    return h[:-1] / 6 * (
-        (3 - r) * y[:-2] + (3 + rq + r) * y[1:-1] - rq * y[2:]
-    )
+    r = h0 / (h0 + h1)
+    rq = r * (h0 / h1)
+    return h0 / 6 * ((3 - r) * y0 + (3 + rq + r) * y1 - rq * y2)
 
 
 def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -261,12 +258,15 @@ def _cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     Simpson rule for unequal steps).  Needs at least 3 points.
     """
     h = np.diff(x)
-    ahead = _simpson_intervals(y, h)
-    behind = _simpson_intervals(y[::-1], h[::-1])[::-1]
+    # Points 2j, 2j+1, 2j+2 and the steps between them: interval 2j runs
+    # from y0 to y1 looking ahead to y2, interval 2j+1 from y2 back to y1
+    # looking behind to y0.
+    h0, h1 = h[:-1:2], h[1::2]
+    y0, y1, y2 = y[:-2:2], y[1:-1:2], y[2::2]
     parts = np.empty(len(h))
-    parts[:-1:2] = ahead[::2]
-    parts[1::2] = behind[::2]
-    parts[-1] = behind[-1]
+    parts[:-1:2] = _simpson_step(h0, h1, y0, y1, y2)
+    parts[1::2] = _simpson_step(h1, h0, y2, y1, y0)
+    parts[-1:] = _simpson_step(h[-1:], h[-2:-1], y[-1:], y[-2:-1], y[-3:-2])
     out = np.zeros(len(y))
     np.cumsum(parts, out=out[1:])
     return out

@@ -108,6 +108,12 @@ class TestSpectralEfficiency:
         with pytest.raises(ParameterError):
             spectral_efficiency(sp, FC, 10.0 * sp.freqs[-1])
 
+    @pytest.mark.parametrize("delta_f", [np.nan, np.inf, -np.inf])
+    def test_non_finite_band(self, delta_f):
+        sp = spectrum_of(generate(WaveformSpec(family="cw", T=T, f_c=FC)))
+        with pytest.raises(ParameterError, match="finite"):
+            spectral_efficiency(sp, FC, delta_f)
+
     def test_scale_invariance(self):
         sig = generate(WaveformSpec(family="lfm", T=T, f_c=FC, delta_f=DF))
         sp = spectrum_of(sig)
@@ -157,6 +163,34 @@ class TestBandwidth98:
                       values=np.ones(401), df=0.25)
         with pytest.raises(ParameterError):
             bandwidth_98(sp, 5.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        # tol_hz = 0 used to bisect forever, and a NaN fraction used to
+        # return the whole grid's width.
+        {"tol_hz": 0.0}, {"tol_hz": -1.0}, {"tol_hz": np.nan},
+        {"tol_hz": np.inf}, {"fraction": np.nan}, {"fraction": 0.0},
+        {"fraction": -0.5}, {"fraction": 1.5},
+    ])
+    def test_invalid_fraction_or_tolerance(self, kwargs):
+        sp = spectrum_of(generate(
+            WaveformSpec(family="lfm", T=0.1, f_c=FC, delta_f=DF)
+        ))
+        with pytest.raises(ParameterError):
+            bandwidth_98(sp, FC, **kwargs)
+
+    def test_whole_energy_fraction(self):
+        # All energy in the 41 bins of 50 +- 5 Hz, whose edges span 10.25 Hz.
+        freqs = np.linspace(0, 100, 401)
+        sp = Spectrum(freqs=freqs, values=1.0 * (np.abs(freqs - 50) <= 5),
+                      df=0.25)
+        b = bandwidth_98(sp, 50.0, fraction=1.0)
+        assert 10.25 <= b <= 10.25 + 0.1
+
+    @pytest.mark.parametrize("f_c", [-1.0, 1e9, np.nan])
+    def test_carrier_off_grid(self, f_c):
+        sp = spectrum_of(generate(WaveformSpec(family="cw", T=T, f_c=FC)))
+        with pytest.raises(ParameterError):
+            bandwidth_98(sp, f_c)
 
 
 # ----------------------------------------------------------------------

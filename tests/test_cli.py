@@ -249,6 +249,21 @@ class TestTrw:
         rows = json.loads(out.read_text())
         assert rows[0]["e_tilde_db"] == 0.0
 
+    def test_repeated_label(self, spec_file, tmp_path, capsys):
+        # Two files with one stem would report one energy for both.
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "gsfm.json").write_text(json.dumps(LFM))
+        out = tmp_path / "trw.csv"
+        assert run(
+            ["trw", "--specs", spec_file(GSFM, "gsfm.json"), str(other),
+             "--response", self.response(tmp_path),
+             "--reference", "gsfm", "--out", str(out)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'gsfm'" in err
+        assert not out.exists()
+
     def test_unknown_config_field(self, spec_file, tmp_path, capsys):
         assert run(
             ["trw", "--specs", spec_file(GSFM, "gsfm.json"),

@@ -222,6 +222,15 @@ class TestApplyResponse:
         with pytest.raises(ParameterError):
             peak_normalized(sig)
 
+    def test_one_sample_drive_rejected(self):
+        from sonarwave.signal_core import SampledSignal
+
+        # The zero-ripple table starts at 0 Hz, so the band check alone
+        # would index a positive bin that one sample does not have.
+        flat = make_response("parametric", F_R, BAND, 0.0)
+        with pytest.raises(ParameterError):
+            apply_response(SampledSignal(samples=[1.0], sample_rate=1e6), flat)
+
 
 # ----------------------------------------------------------------------
 # TRW report
@@ -258,3 +267,8 @@ class TestTrwReport:
         bad = [r for r in rows if r["label"] == "bad"][0]
         assert bad["error"] is not None
         assert bad["e_tilde_db"] is None
+
+    def test_repeated_label(self):
+        gsfm, bpsk = self.specs()
+        with pytest.raises(ParameterError, match="'gsfm'"):
+            trw_report([gsfm, ("gsfm", bpsk[1])], noneq_response(), "gsfm")
