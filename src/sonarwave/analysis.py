@@ -259,7 +259,7 @@ def metrics_report(
         carson = carson_sfm(spec.delta_f, spec.f_m)
     elif spec.family == "gsfm":
         carson = carson_gsfm(
-            spec.delta_f, spec.alpha, spec.rho, spec.T, spec.symmetry
+            spec.delta_f, spec.gsfm_alpha, spec.rho, spec.T, spec.symmetry
         )
     return MetricsReport(
         papr_db=papr(sig),

@@ -21,6 +21,7 @@ from . import ambiguity, analysis, transducer
 from .signal_core import (
     ParameterError,
     SampledSignal,
+    _json_object,
     _write_columns,
     _write_text,
     spectrum_of,
@@ -28,17 +29,16 @@ from .signal_core import (
 from .waveforms import WaveformSpec, generate
 
 
-def _load_spec(path) -> WaveformSpec:
+def _read_json(path, what: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParameterError(f"cannot read spec file {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ParameterError(f"spec file {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ParameterError(f"spec file {path} must hold a JSON object")
-    return WaveformSpec.from_dict(data)
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not UTF-8
+        raise ParameterError(f"cannot read {what} {path}: {exc}")
+
+
+def _load_spec(path) -> WaveformSpec:
+    return WaveformSpec.from_dict(_read_json(path, "spec file"))
 
 
 def _collect_specs(paths) -> list[tuple[str, WaveformSpec]]:
@@ -196,21 +196,13 @@ def _cmd_compare(args) -> int:
 
 
 def _load_response(path) -> transducer.TransducerResponse:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParameterError(f"cannot read response config {path}: {exc}")
-    known = {"mode", "f_r", "band", "ripple_db", "table_path", "equalize_to"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ParameterError(
-            f"unknown response config field(s): {sorted(unknown)}"
-        )
+    cfg = _json_object(_read_json(path, "response config"), "response config",
+                       ("mode", "f_r", "band", "ripple_db", "table_path",
+                        "equalize_to"), required=("f_r", "band"))
     resp = transducer.make_response(
         cfg.get("mode", "parametric"),
         cfg["f_r"],
-        tuple(cfg["band"]),
+        cfg["band"],
         cfg.get("ripple_db", 0.0),
         table_path=cfg.get("table_path"),
     )
@@ -301,7 +293,7 @@ def run(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.handler(args)
-    except (ParameterError, KeyError) as exc:
+    except ParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except (FloatingPointError, np.linalg.LinAlgError, MemoryError) as exc:

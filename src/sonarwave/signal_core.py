@@ -8,6 +8,7 @@ requires it (PAPR, transducer drive).
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field, replace
@@ -18,6 +19,28 @@ import numpy as np
 
 class ParameterError(ValueError):
     """Raised when an operation receives out-of-contract parameters."""
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether ``value`` is a finite ``kind`` number; a bool is not one."""
+    try:
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _json_object(data, what: str, known, required=()) -> dict:
+    """``data``, refused unless it is a JSON object (a dict) whose keys are
+    all in ``known`` and include ``required``."""
+    if not isinstance(data, dict):
+        raise ParameterError(
+            f"{what} must be a JSON object, got {type(data).__name__}")
+    for problem, keys in (("unknown", set(data) - set(known)),
+                          ("missing", set(required) - set(data))):
+        if keys:
+            raise ParameterError(f"{problem} {what} field(s): {sorted(keys, key=str)}")
+    return data
 
 
 TaperKind = Literal["rectangular", "tukey", "hann"]
@@ -40,7 +63,7 @@ class Taper:
     def __post_init__(self):
         if self.kind not in ("rectangular", "tukey", "hann"):
             raise ParameterError(f"unknown taper kind {self.kind!r}")
-        if not (isinstance(self.shape_param, numbers.Real)
+        if not (_is_number(self.shape_param)
                 and 0.0 <= self.shape_param <= 1.0):
             raise ParameterError(
                 "taper shape_param must be a number in [0, 1], got "
@@ -152,8 +175,11 @@ def make_taper(taper: Taper, n: int) -> np.ndarray:
     # Symmetric Tukey: cosine ramps over the first and last
     # floor(alpha (n - 1) / 2) + 1 samples, ones in between.
     width = int(np.floor(alpha * (n - 1) / 2.0))
-    x = 2.0 * np.arange(n) / alpha / (n - 1)
     w = np.ones(n)
+    if width == 0:  # one-sample ramps: the formula below loses w[-1]
+        w[[0, -1]] = 0.0
+        return w
+    x = 2.0 * np.arange(n) / alpha / (n - 1)
     w[: width + 1] = 0.5 * (1.0 + np.cos(np.pi * (-1.0 + x[: width + 1])))
     w[n - width - 1 :] = 0.5 * (
         1.0 + np.cos(np.pi * (-2.0 / alpha + 1.0 + x[n - width - 1 :]))

@@ -9,13 +9,14 @@ is measured with :func:`sonarwave.ambiguity.compare_af`.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .analysis import energy_efficiency
-from .signal_core import ParameterError, SampledSignal
+from .signal_core import ParameterError, SampledSignal, _is_number
 from .waveforms import WaveformSpec, generate
 
 __all__ = [
@@ -144,15 +145,21 @@ def make_response(
     Tabulated mode: load the curve from a CSV of (freq_hz, mag_db,
     phase_rad) rows via :func:`load_response_table`.
     """
+    if not (isinstance(band, (tuple, list)) and len(band) == 2
+            and all(map(_is_number, band))):
+        raise ParameterError(f"band must be two numbers, got {band!r}")
     f_lo, f_hi = band
-    if not f_lo < f_r < f_hi:
-        raise ParameterError("resonance must lie inside the band")
-    if ripple_db < 0:
-        raise ParameterError("ripple_db must be nonnegative")
+    # The parametric grid reaches 4 f_hi, so that must be finite too.
+    if not (_is_number(f_r) and _is_number(4.0 * f_hi) and 0 < f_lo < f_r < f_hi):
+        raise ParameterError(f"need 0 < band[0] < f_r < band[1], got f_r = {f_r!r}")
+    if not (_is_number(ripple_db) and ripple_db >= 0):
+        raise ParameterError(f"ripple_db must be a number >= 0, got {ripple_db!r}")
+    if not isinstance(table_path, (str, os.PathLike, type(None))):
+        raise ParameterError(f"table_path must be a path, got {table_path!r}")
     if mode == "tabulated":
         if table_path is None:
             raise ParameterError("tabulated mode requires table_path")
-        return load_response_table(table_path, f_r=f_r, band=band)
+        return load_response_table(table_path, f_r=f_r, band=(f_lo, f_hi))
     if mode != "parametric":
         raise ParameterError(f"unknown response mode {mode!r}")
 
@@ -195,17 +202,19 @@ def load_response_table(
 ) -> TransducerResponse:
     """Read a (freq_hz, mag_db, phase_rad) CSV into a response."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if i == 0 and not _is_number(row[0]):
-                continue  # header line
-            if len(row) != 3:
-                raise FormatError(f"row {i}: expected 3 columns, got {len(row)}")
-            try:
-                rows.append(tuple(float(x) for x in row))
-            except ValueError as exc:
-                raise FormatError(f"row {i}: non-numeric value ({exc})")
+    try:
+        with open(path, newline="") as fh:
+            for i, row in enumerate(csv.reader(fh)):
+                if i == 0 and row and not _parses_as_float(row[0]):
+                    continue  # header line
+                if len(row) != 3:
+                    raise FormatError(f"row {i}: expected 3 columns, got {len(row)}")
+                try:
+                    rows.append(tuple(float(x) for x in row))
+                except ValueError as exc:
+                    raise FormatError(f"row {i}: non-numeric value ({exc})")
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"cannot read response table {path}: {exc}")
     if len(rows) < 2:
         raise FormatError("response table needs at least 2 rows")
     arr = np.array(sorted(rows))
@@ -228,7 +237,7 @@ def load_response_table(
     )
 
 
-def _is_number(s: str) -> bool:
+def _parses_as_float(s: str) -> bool:
     try:
         float(s)
         return True
@@ -245,8 +254,8 @@ def equalize(
     is ever amplified and out-of-band magnitude is untouched.  A target at
     or above the current ripple is a no-op, flagged on the result.
     """
-    if target_ripple_db < 0:
-        raise ParameterError("target_ripple_db must be nonnegative")
+    if not (_is_number(target_ripple_db) and target_ripple_db >= 0):
+        raise ParameterError(f"target_ripple_db must be >= 0: {target_ripple_db!r}")
     current = resp.in_band_ripple()
     if target_ripple_db >= current:
         return replace(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,6 +26,8 @@ from .signal_core import (
     ParameterError,
     SampledSignal,
     Taper,
+    _is_number,
+    _json_object,
     make_taper,
 )
 
@@ -76,9 +78,8 @@ class WaveformSpec:
         for name in ("T", "f_c", "delta_f", "f_m", "rho", "alpha", "cycles",
                      "sample_rate"):
             value = getattr(self, name)
-            if value is not None and not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
-            ):
+            if not (_is_number(value) or value is None
+                    and name in ("alpha", "cycles", "sample_rate")):
                 raise ParameterError(
                     f"{name} must be finite and a number, got {value!r}"
                 )
@@ -97,42 +98,51 @@ class WaveformSpec:
                 raise ParameterError(
                     "gsfm requires exactly one of alpha or cycles"
                 )
-            scale = _cycles_per_alpha(self.T, self.rho, self.symmetry)
-            if self.alpha is None:
-                object.__setattr__(self, "alpha", self.cycles / scale)
-            else:
-                object.__setattr__(self, "cycles", self.alpha * scale)
-            if self.alpha <= 0:
+            # Refuses a T^rho out of range, whichever form was given.
+            _cycles_per_alpha(self.T, self.rho, self.symmetry)
+            if self.gsfm_alpha <= 0:
                 raise ParameterError("alpha must be positive")
         if self.family == "sfm" and self.f_m <= 0:
             raise ParameterError("sfm requires f_m > 0")
-        if not (isinstance(self.n_chips, numbers.Integral)
+        if not (_is_number(self.n_chips, numbers.Integral)
                 and self.n_chips >= 0):
             raise ParameterError(
                 f"n_chips must be a nonnegative integer, got {self.n_chips!r}"
             )
         if self.code is not None:
             if not (np.iterable(self.code) and all(
-                    isinstance(c, numbers.Integral) for c in self.code)):
+                    _is_number(c, numbers.Integral) for c in self.code)):
                 raise ParameterError(
                     f"code must be a sequence of integers, got {self.code!r}"
                 )
             object.__setattr__(self, "code", tuple(int(c) for c in self.code))
-            if self.n_chips == 0:
-                object.__setattr__(self, "n_chips", len(self.code))
+            if self.n_chips not in (0, len(self.code)):  # a chip an entry
+                raise ParameterError(f"n_chips = {self.n_chips} disagrees "
+                                     f"with the {len(self.code)}-chip code")
         # Coded families sample every chip at least twice.
-        n = max(self.T * self.resolved_sample_rate(), 2 * self.n_chips)
+        n = max(self.T * self.resolved_sample_rate(), 2 * self.chips)
         if n > _N_SAMPLES_CAP:
             raise ParameterError(
                 f"spec asks for {n:.4g} samples, beyond the cap of "
                 f"{_N_SAMPLES_CAP}"
             )
-        # The sample grid has n_chips chips, so the code must fill them.
-        if self.code is not None and self.n_chips != len(self.code):
-            raise ParameterError(
-                f"n_chips = {self.n_chips} disagrees with the "
-                f"{len(self.code)}-chip code"
-            )
+
+    @property
+    def gsfm_alpha(self) -> Optional[float]:
+        """gsfm modulation term alpha (s^-rho): as given, or from cycles."""
+        return self.alpha if self.cycles is None else (
+            self.cycles / _cycles_per_alpha(self.T, self.rho, self.symmetry))
+
+    @property
+    def gsfm_cycles(self) -> Optional[float]:
+        """gsfm IF cycle count C: as given, or from alpha."""
+        return self.cycles if self.alpha is None else (
+            self.alpha * _cycles_per_alpha(self.T, self.rho, self.symmetry))
+
+    @property
+    def chips(self) -> int:
+        """Chip count: the code's length if a code is given, else n_chips."""
+        return self.n_chips if self.code is None else len(self.code)
 
     @property
     def beta(self) -> float:
@@ -148,46 +158,17 @@ class WaveformSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WaveformSpec":
-        """Strict construction: unknown keys are rejected."""
-        d = dict(d)
-        taper_d = d.pop("taper", None)
-        known = {f.name for f in fields(cls)} - {"taper"}
-        unknown = set(d) - known
-        if unknown:
-            raise ParameterError(
-                f"unknown waveform spec field(s): {sorted(unknown)}"
-            )
-        taper = Taper()
-        if taper_d is not None:
-            tk = set(taper_d) - {"kind", "shape_param", "scope"}
-            if tk:
-                raise ParameterError(f"unknown taper field(s): {sorted(tk)}")
-            taper = Taper(**taper_d)
-        return cls(taper=taper, **d)
+        """Strict construction from a JSON object: unknown keys are rejected."""
+        names = [f.name for f in fields(cls)]  # family, T, f_c come first
+        d = dict(_json_object(d, "waveform spec", names, names[:3]))
+        d["taper"] = Taper(**_json_object(d.get("taper", {}), "taper",
+                                          [f.name for f in fields(Taper)]))
+        return cls(**d)
 
     def to_dict(self) -> dict:
-        d = {
-            "family": self.family, "T": self.T, "f_c": self.f_c,
-            "delta_f": self.delta_f,
-            "taper": {
-                "kind": self.taper.kind,
-                "shape_param": self.taper.shape_param,
-                "scope": self.taper.scope,
-            },
-        }
-        if self.family == "sfm":
-            d["f_m"] = self.f_m
-        if self.family == "gsfm":
-            d.update(rho=self.rho, alpha=self.alpha, symmetry=self.symmetry)
-        if self.family in _CODED:
-            d["n_chips"] = self.n_chips
-            if self.code is not None:
-                d["code"] = list(self.code)
-        if self.family == "qpsk":
-            d["qpsk_sign"] = self.qpsk_sign
-        if self.sample_rate is not None:
-            d["sample_rate"] = self.sample_rate
-        return d
+        """Every field as JSON types, so ``from_dict(to_dict(s)) == s``."""
+        code = None if self.code is None else list(self.code)
+        return dict(asdict(self), code=code)
 
 
 def _power(base: float, exponent: float) -> float:
@@ -213,7 +194,7 @@ def modulation_rate(spec: WaveformSpec) -> float:
         return spec.f_m
     if spec.family == "gsfm":
         t_eff = spec.T / 2.0 if spec.symmetry == "even" else spec.T
-        return spec.alpha * spec.rho * _power(t_eff, spec.rho - 1.0)
+        return spec.gsfm_alpha * spec.rho * _power(t_eff, spec.rho - 1.0)
     return 0.0
 
 
@@ -225,8 +206,8 @@ def default_sample_rate(spec: WaveformSpec) -> float:
     margin = 10.0 / spec.T
     if spec.family in ("sfm", "gsfm"):
         margin += modulation_rate(spec)
-    if spec.family in _CODED and spec.n_chips > 0:
-        margin += 4.0 * spec.n_chips / spec.T
+    if spec.family in _CODED and spec.chips > 0:
+        margin += 4.0 * spec.chips / spec.T
     return 16.0 * (spec.f_c + spec.delta_f / 2.0 + margin)
 
 
@@ -237,7 +218,7 @@ def gsfm_if_modulation(spec: WaveformSpec, t: np.ndarray) -> np.ndarray:
     exactly the SFM's beta sin(2 pi f_m t).
     """
     arg = np.abs(t) ** spec.rho if spec.symmetry == "even" else t**spec.rho
-    return np.cos(2 * np.pi * spec.alpha * arg)
+    return np.cos(2 * np.pi * spec.gsfm_alpha * arg)
 
 
 def _simpson_step(h0, h1, y0, y1, y2):
@@ -331,8 +312,8 @@ def _costas_phase(spec, t, t0, n_chip, fs):
 
 def _bpsk_phase(spec, t, t0, n_chip, fs):
     """Constant-frequency chips with phases in {0, pi} from a bit code."""
-    if spec.code is None:
-        raise ParameterError("bpsk requires a bit code")
+    if spec.code is None or not set(spec.code) <= {0, 1}:
+        raise ParameterError("bpsk requires a bit code (0s and 1s)")
     theta = np.pi * np.asarray(spec.code)[np.arange(len(t)) // n_chip]
     return 2.0 * np.pi * spec.f_c * t + theta
 
@@ -347,9 +328,10 @@ def _qpsk_phase(spec, t, t0, n_chip, fs):
     Chip phases ramp linearly (shortest path) over the final 10% of each
     chip, keeping the envelope constant.
     """
-    if spec.code is None:
-        raise ParameterError("qpsk requires a bit code")
-    if spec.qpsk_sign not in (1, -1):
+    if spec.code is None or not set(spec.code) <= {0, 1}:
+        raise ParameterError("qpsk requires a bit code (0s and 1s)")
+    if not (_is_number(spec.qpsk_sign, numbers.Integral)
+            and spec.qpsk_sign in (1, -1)):
         raise ParameterError("qpsk_sign must be +1 or -1")
     bits = np.asarray(spec.code)
     n_ch = len(bits)
@@ -393,7 +375,7 @@ def generate(spec: WaveformSpec) -> SampledSignal:
         raise ParameterError(
             "f_c + delta_f/2 exceeds Nyquist for the chosen sample rate"
         )
-    chips = spec.n_chips if spec.family in _CODED else 1
+    chips = spec.chips if spec.family in _CODED else 1
     if chips == 0:
         raise ParameterError(
             f"{spec.family} needs at least one chip: give n_chips or code"
@@ -540,7 +522,7 @@ def _if_cosine_coeffs(spec: WaveformSpec, k_max: int) -> np.ndarray:
     """
     T = spec.T
     m = 1 << max(
-        int(np.ceil(np.log2(max(16 * k_max, 64.0 * spec.cycles + 64.0)))), 10
+        int(np.ceil(np.log2(max(16 * k_max, 64.0 * spec.gsfm_cycles + 64.0)))), 10
     )
     t = -T / 2.0 + (np.arange(m) + 0.5) * T / m
     g = gsfm_if_modulation(spec, t)
@@ -570,7 +552,7 @@ def gsfm_fourier_coeffs(spec: WaveformSpec, K: int | None = None) -> FourierPhas
     beta_peak = max(np.max(np.abs(beta_all)), 1e-300)
     if adaptive:
         K = k_max
-        floor = max(int(np.ceil(4.0 * spec.cycles + 20.0)), 32)
+        floor = max(int(np.ceil(4.0 * spec.gsfm_cycles + 20.0)), 32)
         for cand in (64, 128, 256, 512, 1024, 2048, _K_MAX):
             if cand < floor:
                 continue

@@ -220,7 +220,7 @@ class TestCarson:
         spec = WaveformSpec(family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.0,
                             cycles=7.0)
         b98 = bandwidth_98(spectrum_of(generate(spec)), FC)
-        carson = carson_gsfm(DF, spec.alpha, 2.0, T, "even")
+        carson = carson_gsfm(DF, spec.gsfm_alpha, 2.0, T, "even")
         assert -0.05 < (carson - b98) / b98 < 0.25
 
 

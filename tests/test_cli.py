@@ -272,6 +272,46 @@ class TestTrw:
         ) == 1
         assert "rippl_db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: dict(c, band=5), "band must be two numbers"),
+        (lambda c: dict(c, band=[1800.0, 2000.0, 2200.0]),
+         "band must be two numbers"),
+        (lambda c: dict(c, band=[True, 2200.0]), "band must be two numbers"),
+        (lambda c: dict(c, band=[-1.0, 2200.0]), "need 0 < band[0] < f_r"),
+        (lambda c: dict(c, band=[1800.0, 1e308]), "need 0 < band[0] < f_r"),
+        (lambda c: dict(c, f_r="x"), "got f_r = 'x'"),
+        (lambda c: dict(c, ripple_db=None), "ripple_db must be"),
+        (lambda c: dict(c, equalize_to="a"), "target_ripple_db must be"),
+        (lambda c: [1, 2], "response config must be a JSON object"),
+        (lambda c: {k: v for k, v in c.items() if k != "f_r"},
+         "missing response config field(s): ['f_r']"),
+        (lambda c: dict(c, mode="tabulated", table_path=5),
+         "table_path must be"),
+        (lambda c: dict(c, mode="tabulated", table_path="missing.csv"),
+         "cannot read response table"),
+        (lambda c: dict(c, mode="tabulated", table_path="blank_first.csv"),
+         "row 0: expected 3 columns"),
+    ])
+    def test_malformed_config(self, spec_file, tmp_path, monkeypatch, capsys,
+                              edit, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "blank_first.csv").write_text(
+            "\n1000.0,0.0,0.0\n3000.0,-1.0,0.1\n"
+        )
+        cfg = {"mode": "parametric", "f_r": 2000.0,
+               "band": [1800.0, 2200.0], "ripple_db": 4.07}
+        (tmp_path / "resp.json").write_text(json.dumps(edit(cfg)))
+        out = tmp_path / "trw.csv"
+        assert run(
+            ["trw", "--specs", spec_file(GSFM, "gsfm.json"),
+             "--response", "resp.json", "--reference", "gsfm",
+             "--out", str(out)]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestErrors:
     def test_one_error_root(self):
@@ -331,6 +371,33 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("bad, message", [
+        # JSON booleans are not numbers, though Python counts them as such.
+        (dict(LFM, T=True), "T must be finite and a number"),
+        (dict(LFM, n_chips=True), "n_chips must be a nonnegative integer"),
+        (dict(LFM, family="bpsk", code=[True, False, True]),
+         "code must be a sequence of integers"),
+        (dict(LFM, taper={"kind": "tukey", "shape_param": True}),
+         "shape_param must be a number"),
+        (dict(LFM, family="qpsk", code=[0, 1], qpsk_sign=True),
+         "qpsk_sign must be +1 or -1"),
+        (dict(LFM, delta_f=None), "delta_f must be finite and a number"),
+        (dict(LFM, family="bpsk", code=[10**30, 0]), "requires a bit code"),
+        (dict(LFM, taper=5), "taper must be a JSON object, got int"),
+        (dict(LFM, taper=None), "taper must be a JSON object"),
+        ({"family": "lfm", "f_c": 2000.0},
+         "missing waveform spec field(s): ['T']"),
+        ([LFM], "waveform spec must be a JSON object, got list"),
+    ])
+    def test_spec_input_contract(self, spec_file, tmp_path, capsys, bad,
+                                 message):
+        out = tmp_path / "x.csv"
+        assert run(["gen", "--spec", spec_file(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid, message", [
         (["--taus=0:1:x", "--etas=1"], "not a number"),

@@ -1,12 +1,18 @@
 """Tests for the waveform generators, discrete codes, and phase model."""
 
+import json
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sonarwave
 from sonarwave.signal_core import ParameterError, Taper, spectrum_of
 from sonarwave.waveforms import (
     _N_SAMPLES_CAP,
+    FAMILIES,
     CodeError,
     FourierPhaseModel,
     TruncationError,
@@ -50,12 +56,12 @@ class TestWaveformSpec:
         even = WaveformSpec(
             family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.0, alpha=14.0
         )
-        assert even.cycles == pytest.approx(2.0 * 14.0 * 0.25**2)
+        assert even.gsfm_cycles == pytest.approx(2.0 * 14.0 * 0.25**2)
         nonsym = WaveformSpec(
             family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.0, cycles=7.0,
             symmetry="nonsymmetric",
         )
-        assert nonsym.alpha == pytest.approx(7.0 / T**2)
+        assert nonsym.gsfm_alpha == pytest.approx(7.0 / T**2)
 
     def test_rho_below_one_rejected(self):
         with pytest.raises(ParameterError):
@@ -141,6 +147,65 @@ class TestWaveformSpec:
             WaveformSpec(**dict(good, **{field: value}))
 
 
+@st.composite
+def spec_fields(draw):
+    """Fields of a sampleable spec of any family, symmetry, taper and gsfm
+    form."""
+    family = draw(st.sampled_from(FAMILIES))
+    kind = draw(st.sampled_from(["rectangular", "tukey", "hann"]))
+    taper = Taper(kind, draw(st.floats(0.0, 1.0)) if kind == "tukey" else 0.0,
+                  draw(st.sampled_from(["whole-pulse", "per-chip"])))
+    kw = dict(family=family, T=draw(st.floats(0.05, 0.2)), f_c=FC,
+              delta_f=draw(st.floats(0.0, 400.0)), taper=taper,
+              symmetry=draw(st.sampled_from(["even", "nonsymmetric"])),
+              sample_rate=draw(st.sampled_from([None, 6000.0, 9000.0])))
+    if family == "sfm":
+        kw["f_m"] = draw(st.floats(5.0, 50.0))
+    if family == "gsfm":
+        kw["rho"] = draw(st.floats(1.0, 3.0))
+        kw[draw(st.sampled_from(["alpha", "cycles"]))] = draw(
+            st.floats(1.0, 10.0))
+    n = draw(st.sampled_from([4, 6, 10, 12]))
+    code = (costas_code(n) if family == "costas"
+            else draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    if family == "costas" and draw(st.booleans()):
+        kw["n_chips"] = n  # the Welch code, built when sampled
+    elif family in ("costas", "bpsk", "qpsk"):
+        kw.update(code=code, n_chips=draw(st.sampled_from([0, n])))
+    if family == "qpsk":
+        kw["qpsk_sign"] = draw(st.sampled_from([1, -1]))
+    return kw
+
+
+def built(kw):
+    """The spec of the fields ``kw``, or None if they are refused."""
+    try:
+        return WaveformSpec(**kw)
+    except ParameterError:
+        return None
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec_fields(), spec_fields(),
+       st.sampled_from([f.name for f in fields(WaveformSpec)]))
+def test_spec_round_trip_and_replace(kw, other, name):
+    spec = WaveformSpec(**kw)
+    back = WaveformSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    assert back == spec
+    a, b = generate(spec), generate(back)
+    assert np.array_equal(a.samples, b.samples)
+    assert (a.t0, a.sample_rate) == (b.t0, b.sample_rate)
+    # Derived values follow the fields, so varying one field of a built
+    # spec is the same as building from the varied fields.
+    value = getattr(WaveformSpec(**other), name)
+    try:
+        varied = replace(spec, **{name: value})
+    except ParameterError:
+        varied = None
+    assert varied == built(dict(kw, **{name: value}))
+
+
 # ----------------------------------------------------------------------
 # Generators
 # ----------------------------------------------------------------------
@@ -224,12 +289,12 @@ class TestGsfm:
         spec = WaveformSpec(
             family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.0, alpha=14.0
         )
-        assert spec.cycles == pytest.approx(2.0 * 14.0 * 0.25**2)  # 1.75
+        assert spec.gsfm_cycles == pytest.approx(2.0 * 14.0 * 0.25**2)  # 1.75
         # Count IF modulation cycles by zero crossings: 2 per cycle.
         t = np.linspace(-T / 2, T / 2, 200001)
         g = gsfm_if_modulation(spec, t)
         crossings = np.sum(np.diff(np.signbit(g)))
-        assert crossings == pytest.approx(2.0 * spec.cycles, abs=1.0)
+        assert crossings == pytest.approx(2.0 * spec.gsfm_cycles, abs=1.0)
 
 
 class TestCostas:
