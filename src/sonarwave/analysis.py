@@ -38,10 +38,10 @@ class MetricsReport:
 
     papr_db: float
     se: float
-    band_98: float
+    band_98: Optional[float]
     carson_hz: Optional[float]
     energy: float
-    tbp: float
+    tbp: Optional[float]
 
     def to_json(self, **kwargs) -> str:
         return json.dumps(asdict(self), **kwargs)
@@ -107,7 +107,8 @@ def bandwidth_98(
     """Smallest band centered on f_c containing ``fraction`` of the energy.
 
     Bisects the band width to within ``tol_hz`` on one cumulative-energy
-    table.
+    table.  Raises :class:`UndefinedMetricError` when the whole grid holds
+    less than ``fraction``.
     """
     if not 0 < fraction <= 1:
         raise ParameterError("fraction must lie in (0, 1]")
@@ -119,7 +120,7 @@ def bandwidth_98(
     if not max_df >= 0:
         raise ParameterError("f_c must lie on the spectrum grid")
     if _band_fraction(table, f_c, max_df) < fraction:
-        raise ParameterError(
+        raise UndefinedMetricError(
             "spectrum grid too narrow to reach the requested energy fraction"
         )
     lo, hi = 0.0, max_df
@@ -247,13 +248,18 @@ def metrics_report(
     """Full scalar report for one waveform spec.
 
     ``band_hz`` sets the SE band; default is the waveform's own numerical
-    98% bandwidth.
+    98% bandwidth.  With ``band_hz`` given, a 98% bandwidth the grid cannot
+    hold leaves ``band_98`` and ``tbp`` None; without it the SE has no band
+    and :class:`UndefinedMetricError` is raised.
     """
     sig = generate(spec)
     sp = spectrum_of(sig)
-    b98 = bandwidth_98(sp, spec.f_c)
-    if band_hz is None:
-        band_hz = b98
+    try:
+        b98 = bandwidth_98(sp, spec.f_c)
+    except UndefinedMetricError:
+        if band_hz is None:
+            raise
+        b98 = None
     carson = None
     if spec.family == "sfm":
         carson = carson_sfm(spec.delta_f, spec.f_m)
@@ -263,11 +269,13 @@ def metrics_report(
         )
     return MetricsReport(
         papr_db=papr(sig),
-        se=spectral_efficiency(sp, spec.f_c, band_hz),
+        se=spectral_efficiency(
+            sp, spec.f_c, b98 if band_hz is None else band_hz
+        ),
         band_98=b98,
         carson_hz=carson,
         energy=sig.energy,
-        tbp=sig.duration * b98,
+        tbp=None if b98 is None else sig.duration * b98,
     )
 
 
@@ -278,32 +286,22 @@ def se_papr_sweep(
 
     If ``band_hz`` is not given, the SE band is the 98% bandwidth of the
     first gsfm entry (the comparison protocol: all waveforms measured in
-    the gsfm's band).  Per-row failures are recorded, not raised.
+    the gsfm's band).  Each row is :func:`metrics_report`'s at that band;
+    per-row failures are recorded, not raised.
     """
     if band_hz is None:
-        for _, sp in specs:
-            if sp.family == "gsfm":
-                band_hz = bandwidth_98(spectrum_of(generate(sp)), sp.f_c)
-                break
-        if band_hz is None:
+        gsfm = next((sp for _, sp in specs if sp.family == "gsfm"), None)
+        if gsfm is None:
             raise ParameterError(
                 "no gsfm spec to derive the SE band from; pass band_hz"
             )
+        band_hz = metrics_report(gsfm).band_98
     rows = []
     for label, sp in specs:
         row = {"label": label, "family": sp.family, "band_hz": band_hz}
         try:
-            sig = generate(sp)
-            spectrum = spectrum_of(sig)
-            row["papr_db"] = papr(sig)
-            row["se"] = spectral_efficiency(spectrum, sp.f_c, band_hz)
-            row["error"] = None
-            try:
-                row["tbp"] = sig.duration * bandwidth_98(spectrum, sp.f_c)
-            except ParameterError:
-                # Heavy-tailed spectra (untapered phase codes) may not fit
-                # 98% of their energy on the grid; SE and PAPR still stand.
-                row["tbp"] = None
+            rep = metrics_report(sp, band_hz)
+            row.update(tbp=rep.tbp, papr_db=rep.papr_db, se=rep.se, error=None)
         except ParameterError as exc:
             row.update(tbp=None, papr_db=None, se=None, error=str(exc))
         rows.append(row)

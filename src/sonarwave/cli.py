@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -92,37 +93,20 @@ def write_signal_csv(sig: SampledSignal, path) -> None:
                    [sig.times, sig.samples.real, sig.samples.imag], "\r\n")
 
 
-def read_signal_csv(path) -> SampledSignal:
-    """Re-ingest a ``gen`` CSV; the grid spacing recovers the sample rate."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 3 or rows[0] != ["t", "re", "im"]:
-        raise ParameterError(f"{path} is not a gen signal CSV")
-    arr = np.array([[float(x) for x in row] for row in rows[1:]])
-    t = arr[:, 0]
-    dt = np.diff(t)
-    fs = 1.0 / np.mean(dt)
-    if np.max(np.abs(dt * fs - 1.0)) > 1e-6:
-        raise ParameterError(f"{path}: time grid is not uniform")
-    return SampledSignal(
-        samples=arr[:, 1] + 1j * arr[:, 2],
-        sample_rate=fs,
-        t0=float(t[0] - 0.5 / fs),
-    )
-
-
 def _json_dump(obj, path) -> None:
     _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
-def _write_rows_csv(rows: list[dict], fields: list[str], path) -> None:
-    def fmt(v):
-        return repr(v) if isinstance(v, float) else ("" if v is None else v)
-
-    lines = [",".join(fields)]
-    for r in rows:
-        lines.append(",".join(str(fmt(r.get(f))) for f in fields))
-    _write_text("\n".join(lines) + "\n", path)
+def _write_rows(rows: list[dict], fields: list[str], fmt: str, path) -> None:
+    """Report rows as JSON, or as CSV with ``fields`` and quoted cells."""
+    if fmt == "json":
+        _json_dump(rows, path)
+        return
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fields, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write_text(buf.getvalue(), path)
 
 
 # ----------------------------------------------------------------------
@@ -188,10 +172,7 @@ def _cmd_compare(args) -> int:
     band = None if args.band == "auto" else float(args.band)
     rows = analysis.se_papr_sweep(specs, band_hz=band)
     fields = ["label", "family", "band_hz", "tbp", "papr_db", "se", "error"]
-    if args.format == "json":
-        _json_dump(rows, args.out)
-    else:
-        _write_rows_csv(rows, fields, args.out)
+    _write_rows(rows, fields, args.format, args.out)
     return 0
 
 
@@ -216,10 +197,7 @@ def _cmd_trw(args) -> int:
     resp = _load_response(args.response)
     rows = transducer.trw_report(specs, resp, args.reference)
     fields = ["label", "family", "energy", "e_tilde_db", "error"]
-    if args.format == "json":
-        _json_dump(rows, args.out)
-    else:
-        _write_rows_csv(rows, fields, args.out)
+    _write_rows(rows, fields, args.format, args.out)
     return 0
 
 

@@ -367,28 +367,21 @@ def trw_report(
     repeated = sorted({label for label in labels if labels.count(label) > 1})
     if repeated:
         raise ParameterError(f"repeated spec label(s): {repeated}")
-    energies: dict = {}
-    errors: dict = {}
+    rows = []
     for label, sp in specs:
+        row = {"label": label, "family": sp.family, "energy": None,
+               "e_tilde_db": None, "error": None}
         try:
             drive = peak_normalized(generate(sp))
             half, n = _filtered_half(drive, resp)
-            energies[label] = _analytic_energy(half, n, drive.sample_rate)
+            row["energy"] = _analytic_energy(half, n, drive.sample_rate)
         except ParameterError as exc:
-            errors[label] = str(exc)
-    if reference not in energies:
-        raise ParameterError(
-            f"reference waveform failed: {errors[reference]}"
-        )
-    e_ref = energies[reference]
-    rows = []
-    for label, sp in specs:
-        row = {"label": label, "family": sp.family}
-        if label in energies:
-            row["energy"] = energies[label]
-            row["e_tilde_db"] = energy_efficiency(energies[label], e_ref)
-            row["error"] = None
-        else:
-            row.update(energy=None, e_tilde_db=None, error=errors[label])
+            row["error"] = str(exc)
         rows.append(row)
+    ref = rows[labels.index(reference)]
+    if ref["error"] is not None:
+        raise ParameterError(f"reference waveform failed: {ref['error']}")
+    for row in rows:
+        if row["error"] is None:
+            row["e_tilde_db"] = energy_efficiency(row["energy"], ref["energy"])
     return rows

@@ -43,6 +43,11 @@ _CODED = ("costas", "bpsk", "qpsk")
 # asking for gigabytes.
 _N_SAMPLES_CAP = 1 << 22
 
+# Largest Costas order a spec may ask for.  The most met is 18; the O(n^2)
+# difference check takes about 0.1 s at the cap, and minutes near 2^21,
+# the order the sample cap alone would allow.
+_COSTAS_MAX = 1 << 10
+
 
 class CodeError(ParameterError):
     """Raised for invalid Costas codes or unsupported code orders."""
@@ -119,6 +124,9 @@ class WaveformSpec:
             if self.n_chips not in (0, len(self.code)):  # a chip an entry
                 raise ParameterError(f"n_chips = {self.n_chips} disagrees "
                                      f"with the {len(self.code)}-chip code")
+        if self.family == "costas" and self.chips > _COSTAS_MAX:
+            raise ParameterError(f"Costas order {self.chips} is beyond the "
+                                 f"cap of {_COSTAS_MAX}")
         # Coded families sample every chip at least twice.
         n = max(self.T * self.resolved_sample_rate(), 2 * self.chips)
         if n > _N_SAMPLES_CAP:
@@ -295,7 +303,7 @@ def _costas_phase(spec, t, t0, n_chip, fs):
     code = spec.code
     if code is None:
         code = costas_code(spec.n_chips)
-    if not is_costas(code):
+    elif not is_costas(code):
         raise CodeError(f"code {list(code)} fails the Costas difference check")
     n_ch = len(code)
     n = len(t)

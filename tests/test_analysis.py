@@ -401,6 +401,39 @@ class TestMetricsReport:
         assert rep.carson_hz is None
 
 
+class TestUndefinedBand:
+    """A 255-chip BPSK at 2 kHz: its 98% band does not fit the FFT grid."""
+
+    SPEC = WaveformSpec(family="bpsk", T=T, f_c=FC, code=m_sequence(8))
+    MESSAGE = "spectrum grid too narrow to reach the requested energy fraction"
+
+    def test_report_with_band(self):
+        rep = metrics_report(self.SPEC, band_hz=1000.0)
+        assert rep.band_98 is None and rep.tbp is None
+        assert np.isfinite(rep.se) and np.isfinite(rep.papr_db)
+        assert json.loads(rep.to_json())["band_98"] is None
+
+    def test_report_without_band_raises(self):
+        with pytest.raises(UndefinedMetricError) as info:
+            metrics_report(self.SPEC)
+        assert str(info.value) == self.MESSAGE
+        with pytest.raises(UndefinedMetricError, match=self.MESSAGE):
+            bandwidth_98(spectrum_of(generate(self.SPEC)), FC)
+
+    def test_sweep_row(self):
+        # The row the sweep wrote when it measured PAPR and SE itself.
+        sig = generate(self.SPEC)
+        (row,) = se_papr_sweep([("s", self.SPEC)], band_hz=1000.0)
+        assert row == {
+            "label": "s", "family": "bpsk", "band_hz": 1000.0, "tbp": None,
+            "papr_db": papr(sig),
+            "se": spectral_efficiency(spectrum_of(sig), FC, 1000.0),
+            "error": None,
+        }
+        assert row["papr_db"] == pytest.approx(3.0099524664070376, rel=1e-12)
+        assert row["se"] == pytest.approx(0.9028456188473125, rel=1e-12)
+
+
 class TestSweep:
     def test_rows_and_band_default(self):
         specs = [

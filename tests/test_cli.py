@@ -8,11 +8,11 @@ import pytest
 
 from sonarwave.ambiguity import ambiguity_numeric, read_binary_surface
 from sonarwave.analysis import UndefinedMetricError, papr
-from sonarwave.cli import _load_spec, read_signal_csv, run
+from sonarwave.cli import _load_spec, run
 from sonarwave.gbf import TruncationError
-from sonarwave.signal_core import ParameterError
+from sonarwave.signal_core import ParameterError, SampledSignal
 from sonarwave.transducer import FormatError
-from sonarwave.waveforms import CodeError, generate
+from sonarwave.waveforms import CodeError, generate, m_sequence
 
 SFM = {
     "family": "sfm", "T": 0.1, "f_c": 2000.0, "delta_f": 200.0, "f_m": 50.0,
@@ -38,7 +38,9 @@ class TestGen:
     def test_writes_and_round_trips(self, spec_file, tmp_path):
         out = tmp_path / "sig.csv"
         assert run(["gen", "--spec", spec_file(LFM), "--out", str(out)]) == 0
-        sig = read_signal_csv(out)
+        t, re, im = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+        sig = SampledSignal(samples=re + 1j * im,
+                            sample_rate=1.0 / np.mean(np.diff(t)))
         assert sig.energy == pytest.approx(1.0, rel=1e-6)
         # Metrics of the re-ingested signal match the original waveform.
         from sonarwave.waveforms import WaveformSpec, generate
@@ -70,6 +72,20 @@ class TestMetrics:
         assert run(["metrics", "--spec", spec_file(SFM)]) == 0
         data = json.loads(capsys.readouterr().out)
         assert "band_98" in data
+
+    def test_undefined_band(self, spec_file, capsys):
+        # The 98% band of a 255-chip BPSK at 2 kHz does not fit the grid:
+        # with --band the report stands without it, without it exit 1.
+        bpsk = {"family": "bpsk", "T": 0.5, "f_c": 2000.0,
+                "code": [int(b) for b in m_sequence(8)]}
+        path = spec_file(bpsk)
+        assert run(["metrics", "--spec", path, "--band", "1000"]) == 0
+        out = capsys.readouterr().out
+        assert '"band_98": null' in out and '"tbp": null' in out
+        assert np.isfinite(json.loads(out)["se"])
+        assert run(["metrics", "--spec", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: spectrum grid too narrow")
 
 
 class TestSpectrum:
@@ -186,6 +202,44 @@ class TestCsvText:
                          for i, eta in enumerate(etas)
                          for j, tau in enumerate(taus)))
         assert out.read_bytes() == ref.read_bytes()
+
+
+class TestReportCsv:
+    """Report rows whose error text holds commas keep the header's width."""
+
+    BAD_COSTAS = {"family": "costas", "T": 0.1, "f_c": 2000.0,
+                  "delta_f": 400.0, "code": [1, 2, 3, 4]}
+    MESSAGE = "code [1, 2, 3, 4] fails the Costas difference check"
+
+    def check(self, path, label):
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert all(len(row) == len(header) for row in rows)
+        by = {row[0]: dict(zip(header, row)) for row in rows}
+        assert by[label]["error"] == self.MESSAGE
+        return by
+
+    def test_compare(self, spec_file, tmp_path):
+        out = tmp_path / "cmp.csv"
+        assert run(
+            ["compare", "--specs", spec_file(self.BAD_COSTAS, "bad.json"),
+             spec_file(LFM, "lfm.json"), "--band", "500", "--out", str(out)]
+        ) == 0
+        by = self.check(out, "bad")
+        assert by["lfm"]["error"] == ""
+
+    def test_trw(self, spec_file, tmp_path):
+        resp = tmp_path / "resp.json"
+        resp.write_text(json.dumps({"f_r": 2000.0, "band": [1800.0, 2200.0],
+                                    "ripple_db": 4.07}))
+        out = tmp_path / "trw.csv"
+        assert run(
+            ["trw", "--specs", spec_file(GSFM, "gsfm.json"),
+             spec_file(self.BAD_COSTAS, "bad.json"), "--response", str(resp),
+             "--reference", "gsfm", "--out", str(out)]
+        ) == 0
+        by = self.check(out, "bad")
+        assert float(by["gsfm"]["e_tilde_db"]) == 0.0
 
 
 class TestCompare:
@@ -344,6 +398,17 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cap" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_costas_order_cap(self, spec_file, tmp_path, capsys):
+        # Within the sample cap, but its Welch code and Costas check would
+        # take minutes: refused when the spec is built.
+        out = tmp_path / "x.csv"
+        big = {"family": "costas", "T": 1.0, "f_c": 100.0, "delta_f": 10.0,
+               "n_chips": 65536, "sample_rate": 1000.0}
+        assert run(["gen", "--spec", spec_file(big), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Costas order 65536 is beyond the cap of 1024\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("bad, message", [

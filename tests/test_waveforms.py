@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sonarwave
 from sonarwave.signal_core import ParameterError, Taper, spectrum_of
 from sonarwave.waveforms import (
+    _COSTAS_MAX,
     _N_SAMPLES_CAP,
     FAMILIES,
     CodeError,
@@ -101,6 +102,17 @@ class TestWaveformSpec:
         ):
             with pytest.raises(ParameterError, match="cap"):
                 WaveformSpec(**bad)
+
+    def test_costas_order_cap(self, no_allocation):
+        # The costas case of the sample-cap test meets this cap first, so
+        # a bpsk checks the two-samples-a-chip rule.
+        WaveformSpec(family="costas", T=T, f_c=FC, n_chips=_COSTAS_MAX)
+        with pytest.raises(ParameterError, match="Costas order 1025 is"):
+            WaveformSpec(family="costas", T=T, f_c=FC,
+                         n_chips=_COSTAS_MAX + 1)
+        with pytest.raises(ParameterError, match="samples, beyond the cap"):
+            WaveformSpec(family="bpsk", T=T, f_c=FC, n_chips=_N_SAMPLES_CAP,
+                         sample_rate=8000.0)
 
     @pytest.mark.parametrize("fields, message", [
         (dict(family="bpsk", code=(0, 1, 1, 0, 1), n_chips=10),
