@@ -36,6 +36,7 @@ from .gbf import (
 from .signal_core import (
     ParameterError,
     SampledSignal,
+    _is_number,
     _is_uniform,
     _write_columns,
 )
@@ -57,8 +58,16 @@ _ETA_LO, _ETA_HI = 0.5, 2.0
 _BAND_LOSS = 1e-4
 
 
+def _check_sound_speed(c) -> None:
+    """Refuse a sound speed that is not a finite, positive number."""
+    if not _is_number(c) or c <= 0:
+        raise ParameterError(
+            f"sound speed c must be finite and positive, got {c!r}")
+
+
 def doppler_eta(v: float, c: float = DEFAULT_SOUND_SPEED) -> float:
     """Doppler scale for closing speed v: (1 + v/c)/(1 - v/c)."""
+    _check_sound_speed(c)
     if abs(v) >= c:
         raise ParameterError(f"|v| must be below the sound speed {c}")
     return (1.0 + v / c) / (1.0 - v / c)
@@ -66,8 +75,13 @@ def doppler_eta(v: float, c: float = DEFAULT_SOUND_SPEED) -> float:
 
 def velocity_from_eta(eta, c: float = DEFAULT_SOUND_SPEED):
     """Inverse of doppler_eta: v = c (eta - 1)/(eta + 1)."""
+    _check_sound_speed(c)
     eta = np.asarray(eta, dtype=float)
-    out = c * (eta - 1.0) / (eta + 1.0)
+    with np.errstate(all="ignore"):
+        out = c * (eta - 1.0) / (eta + 1.0)
+    if not np.all(np.isfinite(out)):
+        raise ParameterError(
+            f"velocities c (eta - 1)/(eta + 1) must be finite (c = {c})")
     return float(out) if out.ndim == 0 else out
 
 
@@ -100,6 +114,7 @@ class AmbiguitySurface:
     warnings: tuple = ()
 
     def __post_init__(self):
+        _check_sound_speed(self.c)
         object.__setattr__(self, "delays", np.asarray(self.delays, dtype=float))
         object.__setattr__(
             self, "dopplers", np.asarray(self.dopplers, dtype=float)
@@ -154,16 +169,22 @@ class AmbiguitySurface:
         the header and the values, so no cell is read back respaced.
         """
         uniform = _is_uniform(self.delays) and _is_uniform(self.dopplers)
+        ends = [float(self.delays[0]), float(self.delays[-1]),
+                float(self.dopplers[0]), float(self.dopplers[-1]),
+                float(self.c)]
+        # The header's float32 must neither overflow nor flush a value to 0.
+        with np.errstate(over="ignore"):
+            ends32 = np.array(ends, dtype=np.float32)
+        kept = np.isfinite(ends32) & ((ends32 == 0) == (np.array(ends) == 0))
+        if not np.all(kept):
+            raise ParameterError("a grid end or c is beyond the float32 range "
+                                 "of the binary header")
         header = struct.pack(
             "<4sIIfffff",
             b"AFS1" if uniform else b"AFS2",
             len(self.delays),
             len(self.dopplers),
-            float(self.delays[0]),
-            float(self.delays[-1]),
-            float(self.dopplers[0]),
-            float(self.dopplers[-1]),
-            float(self.c),
+            *ends,
         )
         assert len(header) == 32
         with open(path, "wb") as fh:
@@ -409,8 +430,11 @@ def ambiguity_numeric(
     c: float = DEFAULT_SOUND_SPEED,
 ) -> AmbiguitySurface:
     """Numeric broadband ambiguity surface (frequency-domain kernel)."""
+    _check_sound_speed(c)
     delays = _finite_grid(delays, "delays")
     etas = _finite_grid(etas, "Doppler scales")
+    if not np.all(etas > 0):
+        raise ParameterError("Doppler scales eta must be positive")
     warnings = []
     if np.max(np.abs(delays)) > sig.duration:
         warnings.append(
@@ -605,6 +629,7 @@ def closed_af_surface(
     model: FourierPhaseModel | None = None,
 ) -> AmbiguitySurface:
     """Full closed-form surface for a rectangular sfm or even gsfm spec."""
+    _check_sound_speed(c)
     delays = _finite_grid(delays, "delays")
     etas = _finite_grid(etas, "Doppler scales")
     tt, ee = np.meshgrid(delays, etas)

@@ -17,6 +17,7 @@ from .signal_core import (
     ParameterError,
     SampledSignal,
     Spectrum,
+    _is_number,
     _is_uniform,
     spectrum_of,
 )
@@ -287,7 +288,8 @@ def se_papr_sweep(
     If ``band_hz`` is not given, the SE band is the 98% bandwidth of the
     first gsfm entry (the comparison protocol: all waveforms measured in
     the gsfm's band).  Each row is :func:`metrics_report`'s at that band;
-    per-row failures are recorded, not raised.
+    per-row failures are recorded, not raised, but a given ``band_hz``
+    that is not a finite nonnegative number is refused before any row.
     """
     if band_hz is None:
         gsfm = next((sp for _, sp in specs if sp.family == "gsfm"), None)
@@ -296,6 +298,9 @@ def se_papr_sweep(
                 "no gsfm spec to derive the SE band from; pass band_hz"
             )
         band_hz = metrics_report(gsfm).band_98
+    elif not (_is_number(band_hz) and band_hz >= 0):
+        raise ParameterError(
+            f"band_hz must be a finite nonnegative number, got {band_hz!r}")
     rows = []
     for label, sp in specs:
         row = {"label": label, "family": sp.family, "band_hz": band_hz}

@@ -169,7 +169,12 @@ def _cmd_af(args) -> int:
 
 def _cmd_compare(args) -> int:
     specs = _collect_specs(args.specs)
-    band = None if args.band == "auto" else float(args.band)
+    try:
+        band = None if args.band == "auto" else float(args.band)
+    except ValueError:
+        raise ParameterError(
+            f"--band must be 'auto' or a number of Hz, got {args.band!r}"
+        ) from None
     rows = analysis.se_papr_sweep(specs, band_hz=band)
     fields = ["label", "family", "band_hz", "tbp", "papr_db", "se", "error"]
     _write_rows(rows, fields, args.format, args.out)
@@ -201,8 +206,16 @@ def _cmd_trw(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as :class:`ParameterError`, like every bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sonarwave",
         description="Active-sonar waveform design and analysis toolkit",
     )
@@ -264,13 +277,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # --help
+        return 1 if exc.code not in (0, None) else 0
     except ParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

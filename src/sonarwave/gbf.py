@@ -23,14 +23,7 @@ from .signal_core import ParameterError
 
 
 class TruncationError(ParameterError):
-    """Raised when a series truncation order cannot contain its support.
-
-    ``suggested_k``, when set, is an order worth retrying with.
-    """
-
-    def __init__(self, msg, suggested_k=None):
-        super().__init__(msg)
-        self.suggested_k = suggested_k
+    """Raised when a series truncation order cannot contain its support."""
 
 
 @dataclass(frozen=True)
@@ -39,7 +32,6 @@ class GbfCoefficients:
 
     orders: np.ndarray
     values: np.ndarray
-    arg_count: int
 
     def __getitem__(self, n: int) -> complex:
         if abs(n) > self.n_max:
@@ -144,7 +136,7 @@ def gbf_coeffs(betas, n_max: int | None = None, weights=None) -> GbfCoefficients
     else:
         values = _coeffs_fft(betas[None, :], n_max)[0]
     orders = np.arange(len(values)) - len(values) // 2
-    return GbfCoefficients(orders=orders, values=values, arg_count=len(betas))
+    return GbfCoefficients(orders=orders, values=values)
 
 
 def _coeffs_fft(beta_rows: np.ndarray, n_max: int, m: int | None = None) -> np.ndarray:

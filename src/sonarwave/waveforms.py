@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gbf import TruncationError
 from .signal_core import (
     ParameterError,
     SampledSignal,
@@ -492,45 +491,29 @@ def m_sequence(degree: int) -> tuple:
 
 @dataclass(frozen=True)
 class FourierPhaseModel:
-    """Cosine-series model of the normalized gsfm IF.
+    """Fourier phase model of the even gsfm.
 
-    ``g(t) = a0/2 + sum_k a_k cos(2 pi k t / T)`` with the IF equal to
-    ``(delta_f/2) g(t) + f_c``.  Integrating gives the phase-harmonic
-    amplitudes ``beta_k = delta_f * T * a_k / (2 k)`` and a residual
-    carrier shift of ``a0 * delta_f / 4``.
+    The normalized IF ``g(t) = a0/2 + sum_k a_k cos(2 pi k t / T)`` (the IF
+    is ``(delta_f/2) g(t) + f_c``) integrates to the phase harmonics
+    ``beta_k = delta_f * T * a_k / (2 k)``, k = 1..len(beta_k), and a
+    carrier shift ``center_shift = a0 * delta_f / 4`` in Hz.
     """
 
-    a0: float
-    a_k: np.ndarray
     beta_k: np.ndarray
-    K: int
-    T: float
-    delta_f: float
-
-    @property
-    def center_shift(self) -> float:
-        """Spectral center offset from f_c, in Hz."""
-        return self.a0 * self.delta_f / 4.0
-
-    def if_reconstruction(self, t: np.ndarray) -> np.ndarray:
-        """Series reconstruction of the normalized IF modulation."""
-        k = np.arange(1, self.K + 1)
-        return self.a0 / 2.0 + np.cos(
-            2.0 * np.pi * np.outer(t, k) / self.T
-        ) @ self.a_k
+    center_shift: float
 
 
 _K_MAX = 4096
 
 
-def _if_cosine_coeffs(spec: WaveformSpec, k_max: int) -> np.ndarray:
-    """Cosine-series coefficients [a0, a1, ...] of the normalized IF.
+def _if_cosine_coeffs(spec: WaveformSpec) -> np.ndarray:
+    """Cosine coefficients [a0, a1, ..., a_{_K_MAX}] of the normalized IF.
 
     FFT projection on a fine midpoint grid over one period [-T/2, T/2].
     """
     T = spec.T
     m = 1 << max(
-        int(np.ceil(np.log2(max(16 * k_max, 64.0 * spec.gsfm_cycles + 64.0)))), 10
+        int(np.ceil(np.log2(max(16 * _K_MAX, 64.0 * spec.gsfm_cycles + 64.0)))), 10
     )
     t = -T / 2.0 + (np.arange(m) + 0.5) * T / m
     g = gsfm_if_modulation(spec, t)
@@ -538,51 +521,33 @@ def _if_cosine_coeffs(spec: WaveformSpec, k_max: int) -> np.ndarray:
     k = np.arange(len(coef))
     # Midpoint samples start half a bin past -T/2; undo that phase.
     coef = coef * np.exp(1j * np.pi * k * (1.0 - 1.0 / m))
-    return 2.0 * coef.real[: k_max + 1] / m
+    return 2.0 * coef.real[: _K_MAX + 1] / m
 
 
-def gsfm_fourier_coeffs(spec: WaveformSpec, K: int | None = None) -> FourierPhaseModel:
+def gsfm_fourier_coeffs(spec: WaveformSpec) -> FourierPhaseModel:
     """Fourier phase model of the even-symmetric gsfm.
 
-    With ``K=None`` the truncation order is chosen adaptively so the
-    phase-harmonic tail is negligible (max |beta_k| over the last decade
-    below 1e-6 of the peak |beta_k|).
+    The harmonic count K is the least of 64, 128, ..., 2048 that is at
+    least max(4 C + 20, 32) for C cycles and whose last decade of |beta_k|
+    stays below 1e-6 of the peak |beta_k|; failing that, ``_K_MAX``.
     """
     if spec.family != "gsfm":
         raise ParameterError("gsfm_fourier_coeffs requires family gsfm")
     if spec.symmetry != "even":
         raise ParameterError("Fourier phase model assumes even symmetry")
-    adaptive = K is None
-    k_max = _K_MAX if adaptive else K
-    a_all = _if_cosine_coeffs(spec, k_max)
-    kk = np.arange(1, k_max + 1)
+    a_all = _if_cosine_coeffs(spec)
+    kk = np.arange(1, _K_MAX + 1)
     beta_all = spec.delta_f * spec.T * a_all[1:] / (2.0 * kk)
     beta_peak = max(np.max(np.abs(beta_all)), 1e-300)
-    if adaptive:
-        K = k_max
-        floor = max(int(np.ceil(4.0 * spec.gsfm_cycles + 20.0)), 32)
-        for cand in (64, 128, 256, 512, 1024, 2048, _K_MAX):
-            if cand < floor:
-                continue
-            tail = np.max(np.abs(beta_all[cand - cand // 10 : cand]))
-            if tail < 1e-6 * beta_peak:
-                K = cand
-                break
-    else:
-        tail = np.max(np.abs(beta_all[K - max(K // 10, 1) : K]))
-        if tail > 1e-6 * beta_peak:
-            raise TruncationError(
-                f"beta_k tail has not decayed at K={K}",
-                suggested_k=2 * K,
-            )
-    return FourierPhaseModel(
-        a0=a_all[0],
-        a_k=a_all[1 : K + 1],
-        beta_k=beta_all[:K],
-        K=K,
-        T=spec.T,
-        delta_f=spec.delta_f,
-    )
+    K = _K_MAX
+    floor = max(int(np.ceil(4.0 * spec.gsfm_cycles + 20.0)), 32)
+    for cand in (64, 128, 256, 512, 1024, 2048):
+        tail = np.max(np.abs(beta_all[cand - cand // 10 : cand]))
+        if cand >= floor and tail < 1e-6 * beta_peak:
+            K = cand
+            break
+    return FourierPhaseModel(beta_k=beta_all[:K],
+                             center_shift=a_all[0] * spec.delta_f / 4.0)
 
 
 def harmonic_series(

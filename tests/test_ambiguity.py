@@ -1,11 +1,13 @@
 """Tests for broadband ambiguity surfaces, cuts, and closed-form series."""
 
 import json
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from sonarwave import ambiguity
 from sonarwave.ambiguity import (
     AmbiguityCut,
     AmbiguitySurface,
@@ -45,6 +47,31 @@ class TestDopplerEta:
     def test_speed_bound(self):
         with pytest.raises(ParameterError):
             doppler_eta(1500.0)
+
+    def test_velocity_overflow(self):
+        # c (eta - 1) beyond the float range used to come back as inf.
+        for eta, c in ((1e300, 1e39), (-1.0, 1500.0)):
+            with pytest.raises(ParameterError, match="finite"):
+                velocity_from_eta(np.array([1.0, eta]), c)
+
+    @pytest.mark.parametrize("c", [0.0, -1500.0, float("nan"), float("inf"),
+                                   True, "1500"])
+    def test_sound_speed_checked(self, c, monkeypatch):
+        # c = 0 wrote every velocity as -0.0, a negative c flipped the sign.
+        # The surfaces refuse it before any kernel runs.
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran")
+
+        monkeypatch.setattr(ambiguity, "_af_rows", no_kernel)
+        monkeypatch.setattr(ambiguity, "_closed_af", no_kernel)
+        sfm = WaveformSpec(family="sfm", T=T, f_c=FC, delta_f=DF, f_m=10.0)
+        for call in (lambda: doppler_eta(1.0, c),
+                     lambda: velocity_from_eta(1.01, c),
+                     lambda: AmbiguitySurface([0.0], [1.0], [[1.0]], c=c),
+                     lambda: ambiguity_numeric(generate(CW), [0.0], [1.0], c),
+                     lambda: closed_af_surface(sfm, [0.0], [1.0], c)):
+            with pytest.raises(ParameterError, match="sound speed"):
+                call()
 
 
 class TestNumericSurface:
@@ -95,6 +122,13 @@ class TestNumericSurface:
         surf = ambiguity_numeric(sig, np.array([0.0]), np.array([1.0, 3.0]))
         assert surf.values[1, 0] == 0.0
         assert any("eta=3.0" in w for w in surf.warnings)
+
+    def test_nonpositive_eta_rejected(self):
+        # As on the closed path; eta = -1 used to write a velocity of -inf.
+        sig = generate(CW)
+        for eta in (0.0, -0.5, -1.0):
+            with pytest.raises(ParameterError, match="positive"):
+                ambiguity_numeric(sig, np.array([0.0]), np.array([1.0, eta]))
 
     def test_delay_beyond_duration_warns(self):
         sig = generate(CW)
@@ -337,6 +371,25 @@ class TestSurfaceIO:
         path.write_bytes(b"\x00" * 64)
         with pytest.raises(ParameterError):
             read_binary_surface(path)
+
+    def test_binary_bad_sound_speed(self, tmp_path):
+        # A hand-made AFS1 file: one cell, c = 0.
+        path = tmp_path / "c0.bin"
+        path.write_bytes(struct.pack("<4sIIfffff", b"AFS1", 1, 1,
+                                     0.0, 0.0, 1.0, 1.0, 0.0)
+                         + struct.pack("<f", 1.0))
+        with pytest.raises(ParameterError, match="sound speed"):
+            read_binary_surface(path)
+
+    def test_binary_header_range(self, tmp_path):
+        # The header holds float32 grid ends and c: beyond its range the
+        # writer used to die in struct.pack, and below it c was written as 0.
+        sig = generate(CW)
+        for delays, c in (([0.0, 1e300], 1500.0), ([0.0], 1e39),
+                          ([0.0, 1e-50], 1500.0), ([0.0], 1e-305)):
+            surf = ambiguity_numeric(sig, np.array(delays), [1.0], c=c)
+            with pytest.raises(ParameterError, match="float32"):
+                surf.to_binary(tmp_path / "surf.bin")
 
     def test_binary_short_files(self, tmp_path):
         # An AFS2 file cut inside its float64 axes, after 5 bytes of them.

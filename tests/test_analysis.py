@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sonarwave import analysis
 from sonarwave.analysis import (
     UndefinedMetricError,
     bandwidth_98,
@@ -454,6 +455,18 @@ class TestSweep:
             se_papr_sweep(specs)
         rows = se_papr_sweep(specs, band_hz=100.0)
         assert rows[0]["se"] > 0.9
+
+    @pytest.mark.parametrize("band", [float("nan"), float("inf"), -5.0,
+                                      True])
+    def test_bad_band_refused_before_any_row(self, band, monkeypatch):
+        # Such a band used to give a table whose every row is an error.
+        def no_rows(*args):
+            raise AssertionError("a row was measured")
+
+        monkeypatch.setattr(analysis, "metrics_report", no_rows)
+        specs = [("cw", WaveformSpec(family="cw", T=T, f_c=FC))]
+        with pytest.raises(ParameterError, match="band_hz"):
+            se_papr_sweep(specs, band_hz=band)
 
     def test_per_row_failure_recorded(self):
         specs = [

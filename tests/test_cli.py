@@ -161,6 +161,18 @@ class TestAf:
         ) == 0
         assert len(out.read_text().strip().split("\n")) == 3
 
+    @pytest.mark.parametrize("c", ["0", "nan", "-1500"])
+    def test_bad_sound_speed(self, spec_file, tmp_path, capsys, c):
+        # Each exited 0: c = 0 wrote every velocity as -0.0, nan as nan,
+        # and -1500 flipped their sign.
+        out = tmp_path / "af.csv"
+        assert run(["af", "--spec", spec_file(LFM), "--taus=0,0.01",
+                    "--etas=1,1.001", f"--c={c}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sound speed" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_grid_syntax(self, spec_file, tmp_path, capsys):
         assert run(
             ["af", "--spec", spec_file(LFM), "--taus", "0:1", "--etas", "1",
@@ -270,6 +282,22 @@ class TestCompare:
         d = tmp_path / "empty"
         d.mkdir()
         assert run(["compare", "--specs", str(d)]) == 1
+
+    @pytest.mark.parametrize("band, message", [
+        ("foo", "'auto' or a number"),
+        ("nan", "band_hz"),
+        ("-5", "band_hz"),
+    ])
+    def test_bad_band(self, spec_file, tmp_path, capsys, band, message):
+        # "foo" was a ValueError traceback; nan and -5 exited 0 with an
+        # error in every row.
+        out = tmp_path / "cmp.csv"
+        assert run(["compare", "--specs", spec_file(GSFM), f"--band={band}",
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestTrw:
@@ -511,8 +539,18 @@ class TestErrors:
         assert err.startswith("error: ") and "cap" in err
         assert "Traceback" not in err
 
-    def test_unknown_subcommand(self):
+    def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
+        assert "error: sonarwave: " in capsys.readouterr().err
+
+    def test_usage_error_line(self, spec_file, capsys):
+        # argparse's own errors end in the same "error: " line as every
+        # other bad input, after the usage.
+        assert run(["metrics", "--spec", spec_file(LFM), "--band=foo"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: sonarwave metrics")
+        assert err[-1] == ("error: sonarwave metrics: argument --band: "
+                           "invalid float value: 'foo'")
 
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0

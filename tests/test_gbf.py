@@ -118,7 +118,7 @@ class TestGbfCoeffs:
 
 def test_coefficients_container():
     c = GbfCoefficients(
-        orders=np.arange(-1, 2), values=np.array([0.1, 0.9, 0.1]), arg_count=1
+        orders=np.arange(-1, 2), values=np.array([0.1, 0.9, 0.1])
     )
     assert c.n_max == 1
     assert c[0] == pytest.approx(0.9)

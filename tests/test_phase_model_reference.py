@@ -1,0 +1,116 @@
+"""Side-by-side check of the gsfm Fourier phase model.
+
+``_reference_gsfm_fourier_coeffs`` is ``gsfm_fourier_coeffs``' adaptive
+branch as it stood while the function also took an explicit ``K``, kept
+unchanged with the cosine projection it called.  ``gsfm_fourier_coeffs``
+must give the same model: ``beta_k`` by ``np.array_equal`` (so the same
+harmonic count K) and ``center_shift`` by ``==``, on every even gsfm of
+``specs/`` and on drawn specs.  This pins today's order rule, fig6's K = 64
+included: a new rule has to change this file openly.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sonarwave.waveforms import (
+    _K_MAX,
+    WaveformSpec,
+    gsfm_fourier_coeffs,
+    gsfm_if_modulation,
+)
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _reference_if_cosine_coeffs(spec, k_max):
+    T = spec.T
+    m = 1 << max(
+        int(np.ceil(np.log2(max(16 * k_max, 64.0 * spec.gsfm_cycles + 64.0)))), 10
+    )
+    t = -T / 2.0 + (np.arange(m) + 0.5) * T / m
+    g = gsfm_if_modulation(spec, t)
+    coef = np.fft.rfft(g)
+    k = np.arange(len(coef))
+    # Midpoint samples start half a bin past -T/2; undo that phase.
+    coef = coef * np.exp(1j * np.pi * k * (1.0 - 1.0 / m))
+    return 2.0 * coef.real[: k_max + 1] / m
+
+
+def _reference_gsfm_fourier_coeffs(spec):
+    """(beta_k, center_shift) by the adaptive branch."""
+    k_max = _K_MAX
+    a_all = _reference_if_cosine_coeffs(spec, k_max)
+    kk = np.arange(1, k_max + 1)
+    beta_all = spec.delta_f * spec.T * a_all[1:] / (2.0 * kk)
+    beta_peak = max(np.max(np.abs(beta_all)), 1e-300)
+    K = k_max
+    floor = max(int(np.ceil(4.0 * spec.gsfm_cycles + 20.0)), 32)
+    for cand in (64, 128, 256, 512, 1024, 2048, _K_MAX):
+        if cand < floor:
+            continue
+        tail = np.max(np.abs(beta_all[cand - cand // 10 : cand]))
+        if tail < 1e-6 * beta_peak:
+            K = cand
+            break
+    a0 = a_all[0]
+    return beta_all[:K], a0 * spec.delta_f / 4.0
+
+
+def assert_same_model(spec):
+    model = gsfm_fourier_coeffs(spec)
+    beta_k, center_shift = _reference_gsfm_fourier_coeffs(spec)
+    assert np.array_equal(model.beta_k, beta_k)
+    assert model.center_shift == center_shift
+    return model
+
+
+def corpus_even_gsfm():
+    out = []
+    for path in sorted(SPEC_DIR.rglob("*.json")):
+        data = json.loads(path.read_text())
+        if isinstance(data, dict) and data.get("family") == "gsfm":
+            spec = WaveformSpec.from_dict(data)
+            if spec.symmetry == "even":
+                out.append(pytest.param(spec, id=str(path.relative_to(SPEC_DIR))))
+    return out
+
+
+@pytest.mark.parametrize("spec", corpus_even_gsfm())
+def test_corpus(spec):
+    assert_same_model(spec)
+
+
+def test_fig6_keeps_64_harmonics():
+    spec = WaveformSpec.from_dict(
+        json.loads((SPEC_DIR / "fig6_gsfm.json").read_text()))
+    assert len(assert_same_model(spec).beta_k) == 64
+
+
+def test_silent_fall_through_to_k_max():
+    # From K = 1024 up no last decade is small enough: no error, K_MAX.
+    spec = WaveformSpec(family="gsfm", T=0.5, f_c=2000.0, delta_f=500.0,
+                        rho=1.5, cycles=200.3)
+    assert len(assert_same_model(spec).beta_k) == _K_MAX
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    T=st.floats(0.002, 2.0),
+    delta_f=st.floats(1.0, 2e4),
+    rho=st.floats(1.0, 3.5),
+    cycles=st.floats(0.5, 300.0),
+    by_alpha=st.booleans(),
+)
+def test_drawn(T, delta_f, rho, cycles, by_alpha):
+    spec = WaveformSpec(family="gsfm", T=T, f_c=1e5, delta_f=delta_f, rho=rho,
+                        cycles=cycles, symmetry="even")
+    if by_alpha:
+        spec = WaveformSpec(family="gsfm", T=T, f_c=1e5, delta_f=delta_f,
+                            rho=rho, alpha=spec.gsfm_alpha, symmetry="even")
+    assert_same_model(spec)
+

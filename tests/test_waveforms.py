@@ -9,19 +9,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sonarwave
+from sonarwave.gbf import TruncationError, gbf_coeffs
 from sonarwave.signal_core import ParameterError, Taper, spectrum_of
 from sonarwave.waveforms import (
     _COSTAS_MAX,
     _N_SAMPLES_CAP,
     FAMILIES,
     CodeError,
-    FourierPhaseModel,
-    TruncationError,
     WaveformSpec,
     costas_code,
     generate,
     gsfm_fourier_coeffs,
     gsfm_if_modulation,
+    harmonic_series,
     is_costas,
     m_sequence,
 )
@@ -554,11 +554,13 @@ class TestFourierPhaseModel:
         spec = WaveformSpec(
             family="gsfm", T=T, f_c=FC, delta_f=8.0, rho=1.0, alpha=2.0
         )
-        model = gsfm_fourier_coeffs(spec, K=64)
-        assert model.a_k[0] == pytest.approx(1.0, abs=1e-9)
-        assert np.max(np.abs(model.a_k[1:])) < 1e-9
+        model = gsfm_fourier_coeffs(spec)
         # beta_1 = delta_f / (2 f_m) with f_m = alpha.
         assert model.beta_k[0] == pytest.approx(8.0 / (2.0 * 2.0), abs=1e-9)
+        # The IF's other cosine coefficients, a_k = 2 k beta_k / (delta_f T)
+        # = k beta_k / 2, vanish.
+        k = np.arange(1, len(model.beta_k) + 1)
+        assert np.max(np.abs(k * model.beta_k / 2.0)[1:]) < 1e-9
 
     def test_if_reconstruction_residual(self):
         spec = WaveformSpec(
@@ -566,14 +568,15 @@ class TestFourierPhaseModel:
         )
         # Even truncated to 4C + 20 harmonics, the series reconstructs the
         # IF to the stated budget (the adaptive choice keeps more terms).
-        full = gsfm_fourier_coeffs(spec)
-        k = int(4 * spec.cycles + 20)
-        model = FourierPhaseModel(
-            a0=full.a0, a_k=full.a_k[:k], beta_k=full.beta_k[:k], K=k,
-            T=full.T, delta_f=full.delta_f,
-        )
+        # The normalized IF's cosine series: a_k = 2 k beta_k / (delta_f T)
+        # and a0 = 4 center_shift / delta_f.
+        model = gsfm_fourier_coeffs(spec)
+        k = np.arange(1, int(4 * spec.cycles + 20) + 1)
+        a_k = 2.0 * k * model.beta_k[: len(k)] / (DF * T)
+        a0 = 4.0 * model.center_shift / DF
         t = np.linspace(-T / 2, T / 2, 4001)
-        resid = model.if_reconstruction(t) - gsfm_if_modulation(spec, t)
+        g = a0 / 2.0 + np.cos(2.0 * np.pi * np.outer(t, k) / T) @ a_k
+        resid = g - gsfm_if_modulation(spec, t)
         # Residual of the IF itself, (delta_f/2) * g, within delta_f * 1e-3.
         assert np.max(np.abs(resid)) * DF / 2.0 < DF * 1e-3
 
@@ -584,22 +587,19 @@ class TestFourierPhaseModel:
         model = gsfm_fourier_coeffs(spec)
         t = np.linspace(-T / 2, T / 2, 400001)
         a0 = 2.0 * np.trapezoid(gsfm_if_modulation(spec, t), t) / T
-        assert model.a0 == pytest.approx(a0, abs=1e-6)
-
-    def test_truncation_error(self):
-        spec = WaveformSpec(
-            family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.9, cycles=40.0
-        )
-        with pytest.raises(TruncationError) as exc:
-            gsfm_fourier_coeffs(spec, K=16)
-        assert exc.value.suggested_k == 32
+        # center_shift = a0 delta_f / 4, with a0 held to 1e-6.
+        assert model.center_shift == pytest.approx(a0 * DF / 4.0,
+                                                   abs=1e-6 * DF / 4.0)
 
     def test_truncation_error_is_the_package_one(self):
+        # The one order cap on the closed forms is the Bessel series'; a
+        # wide gsfm's phase model reaches it.
         spec = WaveformSpec(
-            family="gsfm", T=T, f_c=FC, delta_f=DF, rho=2.9, cycles=40.0
+            family="gsfm", T=T, f_c=2e5, delta_f=1e5, rho=2.0, cycles=7.0
         )
-        with pytest.raises(sonarwave.TruncationError):
-            gsfm_fourier_coeffs(spec, K=16)
+        with pytest.raises(sonarwave.TruncationError, match="cap"):
+            gbf_coeffs(harmonic_series(spec)[0])
+        assert TruncationError is sonarwave.TruncationError
         assert issubclass(sonarwave.TruncationError, ParameterError)
 
     def test_requires_even_symmetry(self):
