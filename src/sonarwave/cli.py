@@ -22,6 +22,7 @@ from . import ambiguity, analysis, transducer
 from .signal_core import (
     ParameterError,
     SampledSignal,
+    _is_number,
     _json_object,
     _write_columns,
     _write_text,
@@ -127,6 +128,14 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    for flag, value in (("--fmin", args.fmin), ("--fmax", args.fmax)):
+        if value is not None and not _is_number(value):
+            raise ParameterError(
+                f"{flag} must be a finite number of Hz, got {value!r}")
+    lo = -np.inf if args.fmin is None else args.fmin
+    hi = np.inf if args.fmax is None else args.fmax
+    if lo > hi:
+        raise ParameterError(f"--fmin {lo!r} is above --fmax {hi!r}")
     spec = _load_spec(args.spec)
     if args.method == "closed":
         sig = generate(spec)
@@ -136,16 +145,10 @@ def _cmd_spectrum(args) -> int:
         freqs = np.arange(nfft, dtype=float)
         freqs *= sig.sample_rate / nfft
         # Only the rows written, plus the lines that hold the peak.
-        band = (-np.inf if args.fmin is None else args.fmin,
-                np.inf if args.fmax is None else args.fmax)
-        sp = analysis.closed_spectrum(spec, freqs, band=band)
+        sp = analysis.closed_spectrum(spec, freqs, band=(lo, hi))
     else:
         sp = spectrum_of(generate(spec))
-    sel = np.ones(len(sp.freqs), dtype=bool)
-    if args.fmin is not None:
-        sel &= sp.freqs >= args.fmin
-    if args.fmax is not None:
-        sel &= sp.freqs <= args.fmax
+    sel = (sp.freqs >= lo) & (sp.freqs <= hi)
     _write_columns(args.out, "f,psd_db", [sp.freqs[sel], sp.power_db()[sel]])
     return 0
 
@@ -236,8 +239,10 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("spectrum", help="write a power spectrum CSV (f, dB)")
     s.add_argument("--spec", required=True)
     s.add_argument("--method", choices=["fft", "closed"], default="fft")
-    s.add_argument("--fmin", type=float, default=None)
-    s.add_argument("--fmax", type=float, default=None)
+    s.add_argument("--fmin", type=float, default=None,
+                   help="lowest frequency written, Hz (a finite number)")
+    s.add_argument("--fmax", type=float, default=None,
+                   help="highest frequency written, Hz (finite, >= --fmin)")
     s.add_argument("--out", default=None)
     s.set_defaults(handler=_cmd_spectrum)
 

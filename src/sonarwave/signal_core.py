@@ -69,6 +69,7 @@ class Taper:
                 "taper shape_param must be a number in [0, 1], got "
                 f"{self.shape_param!r}"
             )
+        object.__setattr__(self, "shape_param", float(self.shape_param))
         if self.scope not in ("whole-pulse", "per-chip"):
             raise ParameterError(f"unknown taper scope {self.scope!r}")
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+import weakref
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,6 +88,10 @@ class WaveformSpec:
                 raise ParameterError(
                     f"{name} must be finite and a number, got {value!r}"
                 )
+            # Held as a float, so that equal specs (np.float32(0.5) == 0.5,
+            # 2 == 2.0) hold the same values and sample equally.
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         if self.T <= 0:
             raise ParameterError("T must be positive")
         if self.f_c <= 0:
@@ -108,11 +113,18 @@ class WaveformSpec:
                 raise ParameterError("alpha must be positive")
         if self.family == "sfm" and self.f_m <= 0:
             raise ParameterError("sfm requires f_m > 0")
+        # Integers, held as int, so that equal specs sample equally.
+        if not (_is_number(self.qpsk_sign, numbers.Integral)
+                and self.qpsk_sign in (1, -1)):
+            raise ParameterError(
+                f"qpsk_sign must be +1 or -1, got {self.qpsk_sign!r}")
         if not (_is_number(self.n_chips, numbers.Integral)
                 and self.n_chips >= 0):
             raise ParameterError(
                 f"n_chips must be a nonnegative integer, got {self.n_chips!r}"
             )
+        object.__setattr__(self, "qpsk_sign", int(self.qpsk_sign))
+        object.__setattr__(self, "n_chips", int(self.n_chips))
         if self.code is not None:
             if not (np.iterable(self.code) and all(
                     _is_number(c, numbers.Integral) for c in self.code)):
@@ -337,9 +349,6 @@ def _qpsk_phase(spec, t, t0, n_chip, fs):
     """
     if spec.code is None or not set(spec.code) <= {0, 1}:
         raise ParameterError("qpsk requires a bit code (0s and 1s)")
-    if not (_is_number(spec.qpsk_sign, numbers.Integral)
-            and spec.qpsk_sign in (1, -1)):
-        raise ParameterError("qpsk_sign must be +1 or -1")
     bits = np.asarray(spec.code)
     n_ch = len(bits)
     chip_phase = spec.qpsk_sign * (np.pi / 2.0) * np.arange(n_ch) + np.pi * bits
@@ -369,6 +378,13 @@ _PHASES = {
 }
 
 
+# The signals ``generate`` has sampled, by spec, while any caller holds one.
+_SAMPLED = weakref.WeakValueDictionary()
+# The last signal sampled, held until the next one: a report that samples a
+# spec and drops it, then asks again, samples it once.
+_last_sampled: Optional[SampledSignal] = None
+
+
 def generate(spec: WaveformSpec) -> SampledSignal:
     """Sample, taper and unit-energy normalize the waveform of ``spec``.
 
@@ -376,7 +392,34 @@ def generate(spec: WaveformSpec) -> SampledSignal:
     [t0, t0 + T], in ``chips`` chips of ``n_chip`` samples each: the code
     length for the coded families and one chip for the others, so a
     ``per-chip`` taper on an uncoded family tapers the whole pulse.
+
+    The samples are read-only, and one signal is shared by equal specs:
+    while any caller holds the signal of a spec, an equal spec returns that
+    same object, as does the last spec sampled.  A spec that raises raises
+    again on every call.
     """
+    global _last_sampled
+    sig = _SAMPLED.get(spec)
+    if sig is None:
+        fresh = _sample(spec)
+        # The kept array is a copy made after the sampler's temporaries are
+        # freed, so it lands in their space.  The sampler's own array sits
+        # above them and, kept, stopped glibc's malloc from reusing that
+        # space: perfbench's af-closed peak RSS rose by 3 MB, and so it did
+        # with an immutable bytes copy, 33 bytes longer than the freed
+        # arrays.  Holders get a view of the locked copy, which they cannot
+        # make writeable; the copy itself, reached through ``base``, owns
+        # its memory, so numpy would let a holder unlock it.  Two threads
+        # may both sample a missing spec; each gets a correct signal.
+        base = fresh.samples.copy()
+        base.flags.writeable = False
+        sig = _last_sampled = _SAMPLED[spec] = replace(fresh,
+                                                       samples=base.view())
+    return sig
+
+
+def _sample(spec: WaveformSpec) -> SampledSignal:
+    """The signal :func:`generate` returns, sampled afresh."""
     fs = spec.resolved_sample_rate()
     if spec.f_c + spec.delta_f / 2.0 >= fs / 2.0:
         raise ParameterError(

@@ -110,6 +110,22 @@ class TestSpectrum:
         assert len(a.read_text().splitlines()) > 10
         assert len(b.read_text().splitlines()) > 10
 
+    @pytest.mark.parametrize("method", ["fft", "closed"])
+    @pytest.mark.parametrize("band, message", [
+        (["--fmin=nan"], "--fmin must be a finite number"),
+        (["--fmin=inf"], "--fmin must be a finite number"),
+        (["--fmax=-inf"], "--fmax must be a finite number"),
+        (["--fmin", "3000", "--fmax", "1000"], "is above --fmax"),
+    ])
+    def test_bad_band(self, spec_dir, tmp_path, capsys, band, message, method):
+        # Each exited 0 with a header-only CSV.
+        out = tmp_path / "sp.csv"
+        assert run(["spectrum", "--spec", str(spec_dir / "fig5_sfm.json"),
+                    "--method", method, *band, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_closed_unavailable_for_lfm(self, spec_file, tmp_path, capsys):
         assert run(
             ["spectrum", "--spec", spec_file(LFM), "--method", "closed",
@@ -482,6 +498,11 @@ class TestErrors:
         ({"family": "lfm", "f_c": 2000.0},
          "missing waveform spec field(s): ['T']"),
         ([LFM], "waveform spec must be a JSON object, got list"),
+        # 1.0 == 1, but only an integer sign samples.
+        (dict(LFM, family="qpsk", code=[0, 1], qpsk_sign=1.0),
+         "qpsk_sign must be +1 or -1"),
+        # Checked for every family, so every spec is hashable.
+        (dict(LFM, qpsk_sign=[]), "qpsk_sign must be +1 or -1"),
     ])
     def test_spec_input_contract(self, spec_file, tmp_path, capsys, bad,
                                  message):

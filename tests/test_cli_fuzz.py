@@ -244,6 +244,7 @@ def test_metrics_band(tmp_path, band):
        st.sampled_from(["fft", "closed"]))
 @example("foo", None, "fft")
 @example("nan", "2100", "closed")
+@example("3000", "1000", "fft")
 def test_spectrum_band(tmp_path, fmin, fmax, method):
     spec, out = tmp_path / "sfm.json", tmp_path / "spectrum.csv"
     spec.write_text(json.dumps(SMALL_SFM))
@@ -253,8 +254,10 @@ def test_spectrum_band(tmp_path, fmin, fmax, method):
     argv += [] if fmin is None else [f"--fmin={fmin}"]
     argv += [] if fmax is None else [f"--fmax={fmax}"]
     if check_run(argv) == 0:
-        # Only the rows inside [fmin, fmax]; a NaN bound keeps none.
-        f = read_rows(out)[:, 0]
+        # Finite bounds in order, and only the rows inside [fmin, fmax].
         lo = -np.inf if fmin is None else float(fmin)
         hi = np.inf if fmax is None else float(fmax)
+        assert all(b is None or np.isfinite(float(b)) for b in (fmin, fmax))
+        assert lo <= hi
+        f = read_rows(out)[:, 0]
         assert np.all((f >= lo) & (f <= hi))

@@ -1,11 +1,15 @@
 """Tests for the waveform generators, discrete codes, and phase model."""
 
+import gc
 import json
+import sys
+import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sonarwave
@@ -15,6 +19,7 @@ from sonarwave.waveforms import (
     _COSTAS_MAX,
     _N_SAMPLES_CAP,
     FAMILIES,
+    _sample,
     CodeError,
     WaveformSpec,
     costas_code,
@@ -205,7 +210,7 @@ def test_spec_round_trip_and_replace(kw, other, name):
     spec = WaveformSpec(**kw)
     back = WaveformSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
     assert back == spec
-    a, b = generate(spec), generate(back)
+    a, b = generate(spec), _sample(back)
     assert np.array_equal(a.samples, b.samples)
     assert (a.t0, a.sample_rate) == (b.t0, b.sample_rate)
     # Derived values follow the fields, so varying one field of a built
@@ -542,6 +547,141 @@ def test_nyquist_guard():
         generate(
             WaveformSpec(family="cw", T=T, f_c=FC, sample_rate=3000.0)
         )
+
+
+# ----------------------------------------------------------------------
+# One shared, read-only signal per live spec
+# ----------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pool_specs():
+    """Every distinct spec dict of the specs/ corpus and of the benchmark's
+    drawn pools, seeds 1-5."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import specgen
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    docs = [json.loads(p.read_text()) for p in sorted(ROOT.glob("specs/**/*.json"))
+            if not p.name.startswith("response_")]
+    for seed in range(1, 6):
+        for draw in specgen.DRAW.values():
+            docs += specgen.all_specs(draw(seed))
+    return list({json.dumps(d, sort_keys=True): d for d in docs}.values())
+
+
+def same_signal(a, b):
+    return (np.array_equal(a.samples, b.samples) and a.t0 == b.t0
+            and a.sample_rate == b.sample_rate
+            and a.energy_normalized == b.energy_normalized)
+
+
+def test_generate_matches_sampler_on_corpus_and_pools():
+    docs = pool_specs()
+    assert len(docs) > 300
+    for doc in docs:
+        spec = WaveformSpec.from_dict(doc)
+        held = generate(spec)
+        assert same_signal(held, _sample(spec)), doc
+        assert generate(WaveformSpec.from_dict(doc)) is held
+
+
+def test_equal_spec_shares_the_held_signal():
+    held = generate(WaveformSpec(family="lfm", T=0.25, f_c=FC, delta_f=DF))
+    generate(WaveformSpec(family="cw", T=0.25, f_c=FC))  # another spec between
+    assert generate(WaveformSpec(family="lfm", T=0.25, f_c=2000,
+                                 delta_f=200)) is held
+
+
+def test_samples_are_read_only():
+    samples = generate(WaveformSpec(family="cw", T=T, f_c=FC)).samples
+    with pytest.raises(ValueError):
+        samples[0] = 0.0
+    with pytest.raises(ValueError):
+        samples *= 2.0
+    with pytest.raises(ValueError):
+        samples.flags.writeable = True
+    # The array under them is locked too.
+    assert not samples.base.flags.writeable
+    with pytest.raises(ValueError):
+        samples.base[0] = 0.0
+
+
+def test_raising_spec_raises_again():
+    spec = WaveformSpec(family="costas", T=T, f_c=FC, delta_f=DF,
+                        code=(1, 2, 3, 4))
+    for _ in range(2):
+        with pytest.raises(CodeError, match="Costas difference check"):
+            generate(spec)
+
+
+def test_unheld_signals_are_not_retained():
+    # 50 distinct 17,600-sample specs, none held: only the last one sampled
+    # stays, not 50 x 282 kB.
+    def spec(k):
+        return WaveformSpec(family="cw", T=T, f_c=FC + k)
+
+    nbytes = generate(spec(-1)).samples.nbytes
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(50):
+            generate(spec(k))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert nbytes <= retained < 1.5 * nbytes
+
+
+NUMBER_FIELDS = ("T", "f_c", "delta_f", "f_m", "rho", "alpha", "cycles",
+                 "sample_rate")
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spec_fields(), st.sampled_from([1, 2]),
+       st.sampled_from([(int, int), (np.float32, np.int64),
+                        (np.int64, np.int64)]))
+def test_int_and_float_fields_sample_equally(kw, T, kinds):
+    # T = 1 or 2 s and the other number fields rounded to integers, typed
+    # as float in one spec and as int or a numpy scalar in the other: the
+    # specs are equal, so they must sample bit for bit alike.
+    def typed(real, integer):
+        out = {k: real(max(round(v), 1)) if k in NUMBER_FIELDS and v is not None
+               else v for k, v in dict(kw, T=float(T)).items()}
+        out.update({k: integer(kw[k]) for k in ("n_chips", "qpsk_sign")
+                    if k in kw})
+        taper = kw["taper"]
+        out["taper"] = replace(taper, shape_param=real(round(taper.shape_param)))
+        return out
+
+    a = built(typed(float, int))
+    assume(a is not None)
+    b = WaveformSpec(**typed(*kinds))
+    assert a == b and hash(a) == hash(b)
+    assert same_signal(_sample(a), _sample(b))
+
+
+@pytest.mark.parametrize("kw", [
+    # float32 arithmetic would round the lfm's phase differently.
+    dict(family="lfm", T=np.float32(0.5), f_c=2000.0, delta_f=200.0),
+    # An exact int 5**23 would give an alpha one ulp off the float's.
+    dict(family="gsfm", T=5, f_c=2000, delta_f=200, rho=23, cycles=2,
+         symmetry="nonsymmetric", sample_rate=6000),
+])
+def test_number_fields_are_held_as_builtins(kw):
+    spec = WaveformSpec(**kw)
+    as_float = WaveformSpec(**{k: float(v) if isinstance(v, (int, np.number))
+                               else v for k, v in kw.items()})
+    assert spec == as_float
+    assert all(type(getattr(spec, f.name)) is type(getattr(as_float, f.name))
+               for f in fields(WaveformSpec))
+    assert same_signal(_sample(spec), _sample(as_float))
+    held = generate(spec)
+    assert generate(as_float) is held
 
 
 # ----------------------------------------------------------------------
