@@ -37,7 +37,6 @@ from .signal_core import (
     ParameterError,
     SampledSignal,
     _is_number,
-    _is_uniform,
     _write_columns,
 )
 from .waveforms import FourierPhaseModel, WaveformSpec, harmonic_series
@@ -161,14 +160,13 @@ class AmbiguitySurface:
     def to_binary(self, path) -> None:
         """Little-endian float32 dump with a 32-byte header.
 
-        Header: magic, uint32 n_delays, uint32 n_dopplers, then float32
-        tau_first, tau_last, eta_first, eta_last, c.  Values follow
-        row-major (Doppler rows).  Uniform grids (magic b"AFS1") are read
-        back from their ends.  Other grids, such as Doppler scales uniform
-        in velocity, get magic b"AFS2" and both axes as float64 between
-        the header and the values, so no cell is read back respaced.
+        Header: magic b"AFS2", uint32 n_delays, uint32 n_dopplers, then
+        float32 tau_first, tau_last, eta_first, eta_last, c.  Both axes
+        follow as float64, so no cell is read back respaced, then the
+        values row-major (Doppler rows).  :func:`read_binary_surface` also
+        reads the older b"AFS1" files, which held a uniform grid by its
+        float32 ends alone.
         """
-        uniform = _is_uniform(self.delays) and _is_uniform(self.dopplers)
         ends = [float(self.delays[0]), float(self.delays[-1]),
                 float(self.dopplers[0]), float(self.dopplers[-1]),
                 float(self.c)]
@@ -181,7 +179,7 @@ class AmbiguitySurface:
                                  "of the binary header")
         header = struct.pack(
             "<4sIIfffff",
-            b"AFS1" if uniform else b"AFS2",
+            b"AFS2",
             len(self.delays),
             len(self.dopplers),
             *ends,
@@ -189,9 +187,8 @@ class AmbiguitySurface:
         assert len(header) == 32
         with open(path, "wb") as fh:
             fh.write(header)
-            if not uniform:
-                axes = np.concatenate([self.delays, self.dopplers])
-                fh.write(axes.astype("<f8").tobytes())
+            axes = np.concatenate([self.delays, self.dopplers])
+            fh.write(axes.astype("<f8").tobytes())
             fh.write(self.values.astype("<f4").tobytes())
 
 

@@ -87,11 +87,16 @@ def spectral_efficiency(spec: Spectrum, f_c: float, delta_F: float) -> float:
     Band edges are handled by fractional-bin trapezoid interpolation of the
     cumulative energy.
     """
+    return _spectral_efficiency(spec, _cumulative_energy(spec), f_c, delta_F)
+
+
+def _spectral_efficiency(spec: Spectrum, table, f_c: float,
+                         delta_F: float) -> float:
+    """:func:`spectral_efficiency` on the spectrum's cumulative ``table``."""
     if not (np.isfinite(f_c) and np.isfinite(delta_F)):
         raise ParameterError("f_c and delta_F must be finite")
     if delta_F < 0:
         raise ParameterError("delta_F must be nonnegative")
-    table = _cumulative_energy(spec)
     edges = table[0]
     slack = 1e-9 * (abs(spec.freqs[-1]) + spec.df)
     if (
@@ -115,7 +120,12 @@ def bandwidth_98(
         raise ParameterError("fraction must lie in (0, 1]")
     if not (np.isfinite(tol_hz) and tol_hz > 0):
         raise ParameterError("tol_hz must be finite and positive")
-    table = _cumulative_energy(spec)
+    return _bandwidth_98(_cumulative_energy(spec), f_c, fraction, tol_hz)
+
+
+def _bandwidth_98(table, f_c: float, fraction: float = 0.98,
+                  tol_hz: float = 0.1) -> float:
+    """:func:`bandwidth_98` on a cumulative-energy ``table``."""
     edges = table[0]
     max_df = 2.0 * min(f_c - edges[0], edges[-1] - f_c)
     if not max_df >= 0:
@@ -255,8 +265,9 @@ def metrics_report(
     """
     sig = generate(spec)
     sp = spectrum_of(sig)
+    table = _cumulative_energy(sp)
     try:
-        b98 = bandwidth_98(sp, spec.f_c)
+        b98 = _bandwidth_98(table, spec.f_c)
     except UndefinedMetricError:
         if band_hz is None:
             raise
@@ -270,8 +281,8 @@ def metrics_report(
         )
     return MetricsReport(
         papr_db=papr(sig),
-        se=spectral_efficiency(
-            sp, spec.f_c, b98 if band_hz is None else band_hz
+        se=_spectral_efficiency(
+            sp, table, spec.f_c, b98 if band_hz is None else band_hz
         ),
         band_98=b98,
         carson_hz=carson,

@@ -245,13 +245,67 @@ def resample_scale(sig: SampledSignal, eta: float) -> SampledSignal:
     )
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``, which is locked too.
+
+    A holder of the view cannot make it writeable again; only a holder of
+    ``a`` itself, which owns its memory, could.
+    """
+    a.flags.writeable = False
+    return a.view()
+
+
+def _locked(a: np.ndarray) -> bool:
+    """Whether ``a`` and every array it views are read-only."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
+
+
+def _held(sig: SampledSignal, key: str, compute):
+    """``compute(sig)``, kept with ``sig`` when its samples are locked.
+
+    A signal that :func:`sonarwave.waveforms.generate` hands out has locked
+    samples, so a transform of it is computed once and lives exactly as
+    long as the signal.  A signal whose samples may still change, such as
+    one built from a writable array, is transformed afresh on every call.
+    The kept values sit in the instance's ``__dict__``, not in a dataclass
+    field, so equality, ``repr``, ``replace`` and ``fields`` ignore them.
+    """
+    if not _locked(sig.samples):
+        return compute(sig)
+    held = sig.__dict__.setdefault("_held", {})
+    if key not in held:
+        held[key] = compute(sig)
+    return held[key]
+
+
 def spectrum_of(sig: SampledSignal, nfft: int | None = None) -> Spectrum:
     """Zero-padded FFT spectrum in continuous-FT units.
 
     The bin values approximate S(f) = integral s(t) exp(-j2 pi f t) dt, so
     the sample-position phase (including t0) is folded in and Parseval holds
     against the time-domain energy.
+
+    At the default ``nfft`` the spectrum of a signal with read-only samples,
+    such as every signal ``generate`` returns, is computed once and shared:
+    its ``freqs`` and ``values`` are read-only.
     """
+    if nfft is None and _locked(sig.samples):
+        return _held(sig, "spectrum", _kept_spectrum)
+    return _spectrum(sig, nfft)
+
+
+def _kept_spectrum(sig: SampledSignal) -> Spectrum:
+    """The default spectrum of ``sig``, with read-only arrays."""
+    sp = _spectrum(sig)
+    return replace(sp, freqs=_frozen(sp.freqs), values=_frozen(sp.values))
+
+
+def _spectrum(sig: SampledSignal, nfft: int | None = None) -> Spectrum:
+    """The body of :func:`spectrum_of`: a fresh spectrum on every call."""
     n = len(sig.samples)
     if nfft is None:
         nfft = 1 << max(int(np.ceil(np.log2(n))), 8)

@@ -16,7 +16,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analysis import energy_efficiency
-from .signal_core import ParameterError, SampledSignal, _is_number
+from .signal_core import (
+    ParameterError,
+    SampledSignal,
+    _frozen,
+    _held,
+    _is_number,
+)
 from .waveforms import WaveformSpec, generate
 
 __all__ = [
@@ -325,26 +331,48 @@ def _analytic(half: np.ndarray, n: int) -> np.ndarray:
     return np.fft.ifft(full)
 
 
-def _analytic_energy(half: np.ndarray, n: int, sample_rate: float) -> float:
-    """Energy of ``_analytic(half, n)`` at ``sample_rate``, by Parseval.
-
-    Over the same mask: the real parts of DC and (n even) Nyquist once,
-    each positive bin 4 times in power, all divided by n * sample_rate.
-    """
-    positive = half[1 : len(half) - 1 if n % 2 == 0 else len(half)]
-    power = 4.0 * np.sum(positive.real ** 2 + positive.imag ** 2)
-    power += half[0].real ** 2
-    if n % 2 == 0:
-        power += half[-1].real ** 2
-    return float(power / (n * sample_rate))
-
-
 def peak_normalized(sig: SampledSignal) -> SampledSignal:
     """Scale so the real drive signal peaks at unit amplitude."""
     peak = np.max(np.abs(sig.samples.real))
     if peak == 0:
         raise ParameterError("cannot peak-normalize an all-zero signal")
     return sig.scaled(1.0 / peak)
+
+
+def _drive_power(sig: SampledSignal):
+    """Power |X_k|^2 of the rfft X of the real drive, and the drive's peak."""
+    x = sig.samples.real
+    peak = np.max(np.abs(x))
+    if peak == 0:
+        raise ParameterError("cannot peak-normalize an all-zero signal")
+    if len(x) < 2:
+        raise ParameterError("cannot drive a signal of one sample")
+    spec = np.fft.rfft(x)
+    return _frozen(spec.real ** 2 + spec.imag ** 2), float(peak)
+
+
+def _trw_energy(sig: SampledSignal, resp: TransducerResponse) -> float:
+    """Energy of ``apply_response(peak_normalized(sig), resp)``, by Parseval.
+
+    The energy needs only magnitudes: sum_k c_k |X_k|^2 |H(f_k)|^2 over
+    n fs peak^2, with X the rfft of the real drive, |H|^2 from
+    ``magnitude_at`` and c_k the analytic mask's weight: 4 for each
+    positive bin, 1 for DC and (n even) Nyquist.  At those two bins the
+    analytic TRW keeps Re(X_k H_k), whose power differs by X_k^2 Im(H_k)^2:
+    X is real there, and a passband drive has next to no power at either.
+    The drive power is kept with a signal whose samples are read-only.
+    """
+    power, peak = _held(sig, "drive_power", _drive_power)
+    n = len(sig)
+    f = np.fft.rfftfreq(n, d=1.0 / sig.sample_rate)
+    if f[-1] < resp.freqs[0] or f[1] > resp.freqs[-1]:
+        raise FormatError("signal band lies entirely outside the response")
+    out = power * 10.0 ** (resp.magnitude_at(f) / 10.0)
+    total = 4.0 * np.sum(out[1 : len(out) - 1 if n % 2 == 0 else len(out)])
+    total += out[0]
+    if n % 2 == 0:
+        total += out[-1]
+    return float(total / (n * sig.sample_rate * peak ** 2))
 
 
 def trw_report(
@@ -357,9 +385,9 @@ def trw_report(
     Every waveform is peak-normalized, driven through ``resp``, and its
     output energy compared to the reference row's:
     ``e_tilde_db = 10 log10(E_w / E_ref)``.  The energy is that of
-    :func:`apply_response`'s TRW, taken from the filtered spectrum.  Row
-    failures are recorded without aborting the report; labels must be
-    distinct.
+    :func:`apply_response`'s TRW, taken from the magnitudes of the drive
+    spectrum and the response (see ``_trw_energy``).  Row failures are
+    recorded without aborting the report; labels must be distinct.
     """
     labels = [label for label, _ in specs]
     if reference not in labels:
@@ -372,9 +400,7 @@ def trw_report(
         row = {"label": label, "family": sp.family, "energy": None,
                "e_tilde_db": None, "error": None}
         try:
-            drive = peak_normalized(generate(sp))
-            half, n = _filtered_half(drive, resp)
-            row["energy"] = _analytic_energy(half, n, drive.sample_rate)
+            row["energy"] = _trw_energy(generate(sp), resp)
         except ParameterError as exc:
             row["error"] = str(exc)
         rows.append(row)

@@ -26,6 +26,7 @@ from .signal_core import (
     ParameterError,
     SampledSignal,
     Taper,
+    _frozen,
     _is_number,
     _json_object,
     make_taper,
@@ -395,8 +396,9 @@ def generate(spec: WaveformSpec) -> SampledSignal:
 
     The samples are read-only, and one signal is shared by equal specs:
     while any caller holds the signal of a spec, an equal spec returns that
-    same object, as does the last spec sampled.  A spec that raises raises
-    again on every call.
+    same object, as does the last spec sampled.  Its transforms, such as
+    its default :func:`~sonarwave.signal_core.spectrum_of`, are computed
+    once and kept with it.  A spec that raises raises again on every call.
     """
     global _last_sampled
     sig = _SAMPLED.get(spec)
@@ -407,14 +409,10 @@ def generate(spec: WaveformSpec) -> SampledSignal:
         # above them and, kept, stopped glibc's malloc from reusing that
         # space: perfbench's af-closed peak RSS rose by 3 MB, and so it did
         # with an immutable bytes copy, 33 bytes longer than the freed
-        # arrays.  Holders get a view of the locked copy, which they cannot
-        # make writeable; the copy itself, reached through ``base``, owns
-        # its memory, so numpy would let a holder unlock it.  Two threads
-        # may both sample a missing spec; each gets a correct signal.
-        base = fresh.samples.copy()
-        base.flags.writeable = False
-        sig = _last_sampled = _SAMPLED[spec] = replace(fresh,
-                                                       samples=base.view())
+        # arrays.  Holders get a read-only view of the locked copy.  Two
+        # threads may both sample a missing spec; each gets a correct signal.
+        sig = _last_sampled = _SAMPLED[spec] = replace(
+            fresh, samples=_frozen(fresh.samples.copy()))
     return sig
 
 

@@ -1,6 +1,8 @@
 """Shared fixtures, plus the acceptance-criteria result summary hook."""
 
 import contextlib
+import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -82,6 +84,23 @@ def no_allocation(monkeypatch):
 @pytest.fixture(scope="session")
 def spec_dir():
     return SPEC_DIR
+
+
+@pytest.fixture(scope="session")
+def pool_specs():
+    """Every distinct spec dict of the specs/ corpus and of the benchmark's
+    drawn pools, seeds 1-5."""
+    sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+    try:
+        import specgen
+    finally:
+        sys.path.remove(str(REPO_ROOT / "perfbench"))
+    docs = [json.loads(p.read_text()) for p in sorted(SPEC_DIR.rglob("*.json"))
+            if not p.name.startswith("response_")]
+    for seed in range(1, 6):
+        for draw in specgen.DRAW.values():
+            docs += specgen.all_specs(draw(seed))
+    return list({json.dumps(d, sort_keys=True): d for d in docs}.values())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

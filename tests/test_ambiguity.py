@@ -360,11 +360,40 @@ class TestSurfaceIO:
             np.testing.assert_allclose(back.values, surf.values, atol=1e-7)
 
     def test_binary_uniform_grid_layout(self, tmp_path):
+        # Uniform grids too carry both axes as float64: (P + M) x 8 bytes.
         surf = self.make_surface()
         path = tmp_path / "surf.bin"
         surf.to_binary(path)
         data = path.read_bytes()
-        assert data[:4] == b"AFS1" and len(data) == 32 + 4 * surf.values.size
+        n_axes = len(surf.delays) + len(surf.dopplers)
+        assert data[:4] == b"AFS2"
+        assert len(data) == 32 + 8 * n_axes + 4 * surf.values.size
+
+    def test_binary_keeps_fine_uniform_grids(self, tmp_path):
+        # As float32 ends, 1 and 1 + 1e-7 read back as [1, 1 + 6e-8,
+        # 1 + 1.2e-7]: a uniform grid respaced.
+        delays = np.linspace(1.0, 1.0 + 1e-7, 3)
+        surf = ambiguity_numeric(generate(CW), delays, [1.0])
+        path = tmp_path / "surf.bin"
+        surf.to_binary(path)
+        back = read_binary_surface(path)
+        np.testing.assert_array_equal(back.delays, delays)
+        np.testing.assert_array_equal(back.dopplers, [1.0])
+
+    def test_binary_reads_uniform_grid_files(self, tmp_path):
+        # The older AFS1 layout: a uniform grid by its float32 ends alone.
+        values = np.arange(6, dtype="<f4").reshape(2, 3)
+        path = tmp_path / "afs1.bin"
+        path.write_bytes(struct.pack("<4sIIfffff", b"AFS1", 3, 2,
+                                     -0.5, 0.5, 0.99, 1.01, 1500.0)
+                         + values.tobytes())
+        back = read_binary_surface(path)
+        np.testing.assert_array_equal(
+            back.delays, np.linspace(np.float32(-0.5), np.float32(0.5), 3))
+        np.testing.assert_array_equal(
+            back.dopplers, np.linspace(np.float32(0.99), np.float32(1.01), 2))
+        np.testing.assert_array_equal(back.values, values)
+        assert back.c == 1500.0
 
     def test_binary_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"

@@ -8,23 +8,40 @@ serves as the reference:
   builds it once and must return the same float (``==``) on every spec of
   ``specs/`` and on drawn specs.
 - ``_reference_trw_energy`` is the energy of ``apply_response``'s analytic
-  TRW.  ``trw_report`` takes it by Parseval from the filtered half
-  spectrum and must agree to 1e-12 relative, for odd and even lengths,
-  through both README responses and a zero-ripple one.
+  TRW, and ``_analytic_energy`` takes it by Parseval from the filtered
+  half spectrum, phase included.  ``trw_report`` takes it from magnitudes
+  alone and must agree with both to 1e-12 relative, for odd and even
+  lengths, through both README responses and a zero-ripple one, on
+  ``specs/`` and on the benchmark's drawn pools.
+- ``metrics_report`` measures the 98% band and the SE on one
+  cumulative-energy table and must equal (``==``) the report built from
+  the public ``bandwidth_98`` and ``spectral_efficiency``.
+- The spectrum a signal from ``generate`` keeps must equal one computed
+  afresh from a writable copy, bit for bit, and be read-only; kept
+  transforms are freed with their signal, and a writable signal keeps
+  none.
 - ``_reference_cumulative_simpson`` evaluates every interval looking ahead
   and looking behind and keeps half of each.  ``_cumulative_simpson``
   evaluates only the intervals it keeps and must agree by
   ``np.array_equal``, on odd and even lengths and with unequal steps.
 """
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sonarwave.analysis import bandwidth_98
+from sonarwave.analysis import (
+    UndefinedMetricError,
+    bandwidth_98,
+    metrics_report,
+    papr,
+    spectral_efficiency,
+)
 from sonarwave.cli import _load_response, _load_spec
 from sonarwave.signal_core import (
     ParameterError,
@@ -33,9 +50,10 @@ from sonarwave.signal_core import (
     spectrum_of,
 )
 from sonarwave.transducer import (
-    _analytic_energy,
     _filtered_half,
+    _trw_energy,
     apply_response,
+    equalize,
     make_response,
     peak_normalized,
     trw_report,
@@ -113,6 +131,36 @@ def test_bandwidth_matches_reference_on_corpus(spec_dir):
         _assert_same_bandwidth(spectrum_of(generate(spec)), spec.f_c)
 
 
+def _reference_metrics(spec, band_hz):
+    sig = generate(spec)
+    sp = spectrum_of(sig)
+    try:
+        b98 = bandwidth_98(sp, spec.f_c)
+    except UndefinedMetricError:
+        if band_hz is None:
+            raise
+        b98 = None
+    return (papr(sig),
+            spectral_efficiency(sp, spec.f_c, b98 if band_hz is None else band_hz),
+            b98, None if b98 is None else sig.duration * b98)
+
+
+@pytest.mark.parametrize("band_hz", [None, 300.0])
+def test_metrics_report_matches_public_metrics_on_corpus(spec_dir, band_hz):
+    for path in sorted(spec_dir.rglob("*.json")):
+        if "family" not in json.loads(path.read_text()):
+            continue
+        spec = _load_spec(path)
+        try:
+            ref = _reference_metrics(spec, band_hz)
+        except ParameterError as exc:
+            with pytest.raises(type(exc), match=str(exc)):
+                metrics_report(spec, band_hz)
+            continue
+        rep = metrics_report(spec, band_hz)
+        assert (rep.papr_db, rep.se, rep.band_98, rep.tbp) == ref, path
+
+
 def _drawn_spec(family, T, f_c, tbp, cycles, taper):
     extra = {
         "cw": {},
@@ -168,6 +216,20 @@ def _reference_trw_energy(drive, resp):
     return apply_response(drive, resp).energy
 
 
+def _analytic_energy(half: np.ndarray, n: int, sample_rate: float) -> float:
+    """Energy of ``_analytic(half, n)`` at ``sample_rate``, by Parseval.
+
+    Over the same mask: the real parts of DC and (n even) Nyquist once,
+    each positive bin 4 times in power, all divided by n * sample_rate.
+    """
+    positive = half[1 : len(half) - 1 if n % 2 == 0 else len(half)]
+    power = 4.0 * np.sum(positive.real ** 2 + positive.imag ** 2)
+    power += half[0].real ** 2
+    if n % 2 == 0:
+        power += half[-1].real ** 2
+    return float(power / (n * sample_rate))
+
+
 def _responses(spec_dir):
     return {
         "nonequalized": _load_response(
@@ -179,6 +241,22 @@ def _responses(spec_dir):
     }
 
 
+def _responses_at(f_c):
+    """The three responses above, resonant at ``f_c`` instead of 110 kHz."""
+    band = (f_c * 100.0 / 110.0, f_c * 120.0 / 110.0)
+    resonant = make_response("parametric", f_c, band, 4.07)
+    return {
+        "nonequalized": resonant,
+        "equalized": equalize(resonant, 0.39),
+        "zero-ripple": make_response("parametric", f_c, band, 0.0),
+    }
+
+
+def _writable_copy(sig):
+    return SampledSignal(sig.samples.copy(), sig.sample_rate, sig.t0,
+                         sig.energy_normalized)
+
+
 @pytest.mark.parametrize("response",
                          ["nonequalized", "equalized", "zero-ripple"])
 def test_trw_energy_matches_analytic_signal(spec_dir, response):
@@ -186,13 +264,18 @@ def test_trw_energy_matches_analytic_signal(spec_dir, response):
     for path in sorted((spec_dir / "trw").rglob("*.json")):
         if "family" not in json.loads(path.read_text()):
             continue
-        drive = peak_normalized(generate(_load_spec(path)))
+        held = generate(_load_spec(path))
+        drive = peak_normalized(held)
         lengths = set()
         for n in (len(drive), len(drive) - 1):
-            sig = SampledSignal(drive.samples[:n], drive.sample_rate, drive.t0)
-            got = _analytic_energy(*_filtered_half(sig, resp), sig.sample_rate)
-            ref = _reference_trw_energy(sig, resp)
+            sig = SampledSignal(held.samples[:n], held.sample_rate, held.t0)
+            cut = SampledSignal(drive.samples[:n], drive.sample_rate, drive.t0)
+            got = _trw_energy(sig, resp)
+            ref = _reference_trw_energy(cut, resp)
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
+            parseval = _analytic_energy(*_filtered_half(cut, resp),
+                                        cut.sample_rate)
+            assert got == pytest.approx(parseval, rel=1e-12, abs=0)
             lengths.add(n % 2)
         assert lengths == {0, 1}
 
@@ -209,6 +292,104 @@ def test_trw_report_energies_match_analytic_signal(spec_dir):
             assert row["label"] == label
             ref = _reference_trw_energy(peak_normalized(generate(spec)), resp)
             assert row["energy"] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_trw_report_keeps_its_row_errors(spec_dir):
+    # A 2 kHz drive lies below the 110 kHz response, and it stays a row
+    # error, worded as apply_response words it.
+    resp = _responses(spec_dir)["nonequalized"]
+    low = WaveformSpec(family="lfm", T=0.5, f_c=2000.0, delta_f=200.0)
+    ref = _load_spec(spec_dir / "trw" / "narrowband" / "gsfm_ii.json")
+    with pytest.raises(ParameterError) as exc:
+        apply_response(peak_normalized(generate(low)), resp)
+    rows = trw_report([("low", low), ("ref", ref)], resp, "ref")
+    assert rows[0]["error"] == str(exc.value)
+    assert rows[0]["energy"] is None and rows[1]["error"] is None
+    for samples, message in (([0.0, 0.0], "all-zero"), ([1.0], "one sample")):
+        sig = SampledSignal(np.array(samples), 1000.0)
+        with pytest.raises(ParameterError, match=message):
+            _trw_energy(sig, resp)
+
+
+# ----------------------------------------------------------------------
+# Transforms kept with a generated signal
+# ----------------------------------------------------------------------
+
+def _assert_read_only(a):
+    assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        a[0] = 0
+    with pytest.raises(ValueError):
+        a.flags.writeable = True
+
+
+def test_kept_transforms_match_fresh_on_corpus_and_pools(pool_specs):
+    # Each spec goes through one of the three responses in turn, which
+    # keeps this test to a few seconds; the corpus tests above take all
+    # three on every TRW spec.
+    assert len(pool_specs) > 300
+    names = list(_responses_at(1.0))
+    for i, doc in enumerate(pool_specs):
+        spec = WaveformSpec.from_dict(doc)
+        sig = generate(spec)
+        kept, fresh = spectrum_of(sig), spectrum_of(_writable_copy(sig))
+        assert spectrum_of(sig) is kept
+        assert kept.df == fresh.df
+        for a, b in ((kept.freqs, fresh.freqs), (kept.values, fresh.values)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), doc
+            _assert_read_only(a)
+        resp = _responses_at(spec.f_c)[names[i % 3]]
+        (row,) = trw_report([("w", spec)], resp, "w")
+        ref = _reference_trw_energy(peak_normalized(sig), resp)
+        assert row["energy"] == pytest.approx(ref, rel=1e-12, abs=0), doc
+
+
+def test_writable_signal_keeps_no_transform():
+    held = generate(WaveformSpec(family="lfm", T=0.25, f_c=2000.0,
+                                 delta_f=200.0))
+    resp = _responses_at(2000.0)["nonequalized"]
+    own = held.samples.copy()
+    # A read-only view of a writable array may still change under it.
+    view = own.view()
+    view.flags.writeable = False
+    for sig in (SampledSignal(own, held.sample_rate, held.t0),
+                SampledSignal(view, held.sample_rate, held.t0)):
+        before = spectrum_of(sig).values.copy()
+        energy = _trw_energy(sig, resp)
+        own[: len(own) // 2] = 0.0
+        assert np.array_equal(
+            spectrum_of(sig).values, spectrum_of(_writable_copy(sig)).values)
+        assert not np.array_equal(spectrum_of(sig).values, before)
+        assert _trw_energy(sig, resp) != energy
+        assert spectrum_of(sig).values.flags.writeable
+        own[:] = held.samples
+
+
+def test_kept_transforms_are_freed_with_their_signal():
+    # 50 distinct 16,000-sample specs, each transformed and dropped: only
+    # the last one sampled stays, with its transforms, not 50 of them.
+    def spec(k):
+        return WaveformSpec(family="cw", T=0.5, f_c=2000.0 + k,
+                            sample_rate=32000.0)
+
+    resp = _responses_at(2000.0)["nonequalized"]
+
+    def transform(sig):
+        sp = spectrum_of(sig)
+        _trw_energy(sig, resp)
+        return sig.samples.nbytes + sp.freqs.nbytes + sp.values.nbytes
+
+    nbytes = transform(generate(spec(-1)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for k in range(50):
+            transform(generate(spec(k)))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert nbytes <= retained < 1.5 * nbytes
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,8 @@
 
 import gc
 import json
-import sys
 import tracemalloc
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,35 +551,15 @@ def test_nyquist_guard():
 # One shared, read-only signal per live spec
 # ----------------------------------------------------------------------
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def pool_specs():
-    """Every distinct spec dict of the specs/ corpus and of the benchmark's
-    drawn pools, seeds 1-5."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import specgen
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    docs = [json.loads(p.read_text()) for p in sorted(ROOT.glob("specs/**/*.json"))
-            if not p.name.startswith("response_")]
-    for seed in range(1, 6):
-        for draw in specgen.DRAW.values():
-            docs += specgen.all_specs(draw(seed))
-    return list({json.dumps(d, sort_keys=True): d for d in docs}.values())
-
-
 def same_signal(a, b):
     return (np.array_equal(a.samples, b.samples) and a.t0 == b.t0
             and a.sample_rate == b.sample_rate
             and a.energy_normalized == b.energy_normalized)
 
 
-def test_generate_matches_sampler_on_corpus_and_pools():
-    docs = pool_specs()
-    assert len(docs) > 300
-    for doc in docs:
+def test_generate_matches_sampler_on_corpus_and_pools(pool_specs):
+    assert len(pool_specs) > 300
+    for doc in pool_specs:
         spec = WaveformSpec.from_dict(doc)
         held = generate(spec)
         assert same_signal(held, _sample(spec)), doc
