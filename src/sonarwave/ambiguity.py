@@ -15,7 +15,9 @@ The closed form is a double series over Bessel orders (n, m) of terms
 g1_n g2_m int exp(2j pi mu_nm t) dt over the support overlap [t1, t2],
 where mu_nm = x_n - y_m separates into one frequency per order.  Its
 Cauchy kernel 1 / (pi mu_nm) is applied once per Doppler row by
-:func:`sonarwave.gbf._cauchy_sums`, the routine the closed spectra share.
+:func:`sonarwave.gbf._cauchy_sums`, the routine the closed spectra share:
+by one FFT convolution on the eta = 1 row, where x = y, and in tiles on
+the others.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .gbf import (
 from .signal_core import (
     ParameterError,
     SampledSignal,
+    _fast_len,
     _is_number,
     _write_columns,
 )
@@ -220,19 +223,6 @@ def read_binary_surface(path) -> AmbiguitySurface:
         values=data.reshape(n_eta, n_tau).astype(float),
         c=float(c),
     )
-
-
-def _fast_len(n: int) -> int:
-    """Least 2^a 3^b 5^c >= n, a length numpy's FFT handles quickly."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def _cis(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -510,8 +500,12 @@ def _closed_af_points(
     C R(s / eta) is).  :func:`sonarwave.gbf._cauchy_sums` thus applies the
     kernel once per row, to two rows and two columns, and each delay is one
     dot product of length M or N per end: a row costs O(N M) whatever the
-    number of delays.  Pairs with |mu_nm| times the row's longest overlap
-    below ``_SINGULAR`` are summed as exact sinc terms instead.
+    number of delays, and the eta = 1 row, where x = y and C is Toeplitz,
+    one FFT convolution.  The orders are the consecutive range from the
+    first to the last coefficient above ``_PRUNE``, with weight 0 on the
+    pruned ones inside it, so both x and y are arithmetic progressions.
+    Pairs with |mu_nm| times the row's longest overlap below ``_SINGULAR``
+    are summed as exact sinc terms instead.
 
     Raises :class:`TruncationError` before any allocation when the
     coefficients need orders beyond the truncation rule's cap.
@@ -522,10 +516,14 @@ def _closed_af_points(
     if not np.all(etas > 0):
         raise ParameterError("Doppler scales eta must be positive")
     c = gbf_coeffs(betas)
+    # The kernel needs consecutive orders: keep the range from the first to
+    # the last kept order, with weight 0 on the pruned orders inside it.
     keep = np.abs(c.values) > _PRUNE
-    g = c.values[keep]
+    kept = np.nonzero(keep)[0]
+    span = slice(kept[0], kept[-1] + 1)
+    g = np.where(keep[span], c.values[span], 0.0)
     gc = np.conj(g)
-    orders = c.orders[keep].astype(float)
+    orders = c.orders[span].astype(float)
 
     # Exact support overlap of s(t) and s(eta (t + tau)).
     t1 = np.maximum(ta, ta / etas - taus)

@@ -10,7 +10,11 @@ the single-harmonic case reduces to the cylindrical J_n.  Complex weights
 rotate each harmonic's phase (and rescale its amplitude).  Both closed forms
 share this module's truncation rule (:func:`_tail_coeffs`), its Cauchy
 kernel (:func:`_cauchy_sums`) and the exact terms of the pairs the kernel
-leaves out (:func:`_pair_terms`).
+leaves out (:func:`_pair_terms`).  The kernel's two grids are arithmetic
+progressions (consecutive Bessel orders, or a spectrum's lines and its
+uniform frequency grid): on equal grids it is Toeplitz and one FFT
+convolution applies it; otherwise it is built in tiles, and each tile away
+from the singular band is one shared base tile plus a scalar.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_core import ParameterError
+from .signal_core import ParameterError, _fast_len
 
 
 class TruncationError(ParameterError):
@@ -65,12 +69,15 @@ _N_MAX_CAP = 1 << 14
 # Memory bound for each block of :func:`_pair_terms`.
 _CHUNK_BYTES = 1 << 26
 
-# Doubles in one tile of the Cauchy kernel that :func:`_cauchy_sums` builds,
-# and the least tile side.  Measured on the benchmark's af-closed pool
-# (2-vCPU VM, median per surface): 2^16 takes 23 ms of wall and CPU time
-# alike, while smaller tiles pay numpy's per-call overhead (31 ms at 2^15,
-# 84 ms at 2^12).  A side holds at most 4 real rows or columns, so at 2^16
-# each tile product is 2^18 multiply-adds, the most OpenBLAS keeps on one
+# Doubles in one tile of the Cauchy kernel that :func:`_cauchy_sums` builds
+# on unequal grids (equal ones take one FFT convolution), and the least
+# tile side; the tiles away from the singular band share one base tile of
+# the same size, built at the first such tile.  Measured on the
+# benchmark's af-closed pool before equal grids took the FFT (2-vCPU VM,
+# median per surface): 2^16 takes 23 ms of wall and CPU time alike, while
+# smaller tiles pay numpy's per-call overhead (31 ms at 2^15, 84 ms at
+# 2^12).  A side holds at most 4 real rows or columns, so at 2^16 each
+# tile product is 2^18 multiply-adds, the most OpenBLAS keeps on one
 # thread; from 2^17 up its second thread takes a share and spins between
 # products, which doubles CPU time (65 ms at 2^17, 53 ms at 2^22) and
 # gains no wall time.
@@ -184,15 +191,42 @@ def _cauchy_sums(x, y, near, left, right=None):
     """Both products of the Cauchy kernel C_nm = 1 / (pi (x_n - y_m)).
 
     Returns ``(left @ C, C @ right)`` for complex ``left`` (L, N) and
-    ``right`` (M, R), at ascending ``x`` (N) and ``y`` (M); without
-    ``right``, only ``left @ C``.  Pairs with |x_n - y_m| < ``near`` get
-    C = 0; callers add them as exact terms (:func:`_pair_terms`).  This is
-    the one place the kernel is built: in tiles of ``_TILE`` doubles over
-    both n and m, each applied to both sides as real products before the
-    next is built, so the kernel stays in cache and one pass costs O(N M)
-    however many rows and columns the sides hold.
+    ``right`` (M, R), at ``x`` (N) and ``y`` (M), each an ascending
+    arithmetic progression; without ``right``, only ``left @ C``.  Pairs
+    with |x_n - y_m| < ``near`` get C = 0; callers add them as exact terms
+    (:func:`_pair_terms`).  This is the one place the kernel is applied.
+
+    When x and y are equal and the pairs left out are exactly the diagonal,
+    C_nm = kappa(n - m) is Toeplitz and antisymmetric, with
+    kappa(k) = 1 / (pi h k) at step h and kappa(0) = 0, so both products
+    are one FFT convolution.  Otherwise C is built in tiles of ``_TILE``
+    doubles over both n and m, each applied to both sides as real products
+    before the next is built, so the kernel stays in cache and one pass
+    costs O(N M) however many rows and columns the sides hold.  A tile
+    whose x and y ranges lie at least their summed widths (and ``near``)
+    apart is one base tile (x_i - x_0) - (y_j - y_0), shared by all such
+    tiles, plus the scalar x[n0] - y[m0]: there the progressions' rounding
+    is small against |x_n - y_m|.  Nearer tiles subtract exactly.
     """
     n_count, m_count = len(x), len(y)
+    ni, mj = _singular_pairs(x, y, near)
+    if (n_count == m_count and len(ni) == n_count and np.array_equal(x, y)
+            and np.array_equal(ni, mj)):
+        h = (x[-1] - x[0]) / max(n_count - 1, 1)
+        size = _fast_len(2 * n_count - 1)
+        kappa = np.zeros(size)
+        kappa[1:n_count] = 1.0 / (np.pi * h * np.arange(1, n_count))
+        kappa[size - n_count + 1 :] = -kappa[n_count - 1 : 0 : -1]
+        sides = left if right is None else np.concatenate([left, right.T])
+        # sum_n left_n C_nm = -(kappa * left)_m and sum_m C_nm right_m =
+        # (kappa * right)_n, by antisymmetry.
+        conv = np.fft.ifft(np.fft.fft(sides, size) * np.fft.fft(kappa))
+        lc = -conv[: len(left), :n_count]
+        if right is None:
+            return lc
+        # A copy, so that no view holds the whole convolution while the
+        # caller works.
+        return lc, conv[len(left) :, :n_count].T.copy()
     side = np.concatenate([left.real, left.imag])
     lc = np.zeros((len(side), m_count))
     if right is not None:
@@ -201,15 +235,24 @@ def _cauchy_sums(x, y, near, left, right=None):
     cols = min(m_count, max(_TILE_SIDE, _TILE // n_count)) or 1
     rows = min(n_count, _TILE // cols)
     buf = np.empty(rows * cols)
+    base = None
     for n0 in range(0, n_count, rows):
         xb = x[n0 : n0 + rows]
+        band = slice(*np.searchsorted(ni, [n0, n0 + rows]))
+        nb, mb = ni[band] - n0, mj[band]
         for m0 in range(0, m_count, cols):
             yb = y[m0 : m0 + cols]
-            kern = np.subtract.outer(
-                xb, yb, out=buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
-            )
-            if yb[0] < xb[-1] + near and yb[-1] > xb[0] - near:
-                kern[_singular_pairs(xb, yb, near)] = np.inf
+            kern = buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
+            gap = max(yb[0] - xb[-1], xb[0] - yb[-1])
+            if gap >= max(near, xb[-1] - xb[0] + yb[-1] - yb[0]):
+                if base is None:
+                    base = np.subtract.outer(x[:rows] - x[0], y[:cols] - y[0])
+                np.add(base[: len(xb), : len(yb)], xb[0] - yb[0], out=kern)
+            else:
+                np.subtract.outer(xb, yb, out=kern)
+                if gap < near:
+                    hit = (mb >= m0) & (mb < m0 + cols)
+                    kern[nb[hit], mb[hit] - m0] = np.inf
             np.divide(1.0 / np.pi, kern, out=kern)
             lc[:, m0 : m0 + cols] += side[:, n0 : n0 + rows] @ kern
             if right is not None:

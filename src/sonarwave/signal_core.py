@@ -282,6 +282,19 @@ def _held(sig: SampledSignal, key: str, compute):
     return held[key]
 
 
+def _fast_len(n: int) -> int:
+    """Least 2^a 3^b 5^c >= n, a length numpy's FFT handles quickly."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def spectrum_of(sig: SampledSignal, nfft: int | None = None) -> Spectrum:
     """Zero-padded FFT spectrum in continuous-FT units.
 

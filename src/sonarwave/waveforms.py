@@ -558,11 +558,11 @@ def _if_cosine_coeffs(spec: WaveformSpec) -> np.ndarray:
     )
     t = -T / 2.0 + (np.arange(m) + 0.5) * T / m
     g = gsfm_if_modulation(spec, t)
-    coef = np.fft.rfft(g)
-    k = np.arange(len(coef))
+    coef = np.fft.rfft(g)[: _K_MAX + 1]
+    k = np.arange(_K_MAX + 1)
     # Midpoint samples start half a bin past -T/2; undo that phase.
     coef = coef * np.exp(1j * np.pi * k * (1.0 - 1.0 / m))
-    return 2.0 * coef.real[: _K_MAX + 1] / m
+    return 2.0 * coef.real / m
 
 
 def gsfm_fourier_coeffs(spec: WaveformSpec) -> FourierPhaseModel:
