@@ -13,8 +13,8 @@ kernel (:func:`_cauchy_sums`) and the exact terms of the pairs the kernel
 leaves out (:func:`_pair_terms`).  The kernel's two grids are arithmetic
 progressions (consecutive Bessel orders, or a spectrum's lines and its
 uniform frequency grid): on equal grids it is Toeplitz and one FFT
-convolution applies it; otherwise it is built in tiles, and each tile away
-from the singular band is one shared base tile plus a scalar.
+convolution applies it; otherwise it is built in tiles, each by one exact
+subtraction, with its left-out pairs found on that tile alone.
 """
 
 from __future__ import annotations
@@ -71,16 +71,16 @@ _CHUNK_BYTES = 1 << 26
 
 # Doubles in one tile of the Cauchy kernel that :func:`_cauchy_sums` builds
 # on unequal grids (equal ones take one FFT convolution), and the least
-# tile side; the tiles away from the singular band share one base tile of
-# the same size, built at the first such tile.  Measured on the
-# benchmark's af-closed pool before equal grids took the FFT (2-vCPU VM,
-# median per surface): 2^16 takes 23 ms of wall and CPU time alike, while
-# smaller tiles pay numpy's per-call overhead (31 ms at 2^15, 84 ms at
-# 2^12).  A side holds at most 4 real rows or columns, so at 2^16 each
-# tile product is 2^18 multiply-adds, the most OpenBLAS keeps on one
-# thread; from 2^17 up its second thread takes a share and spins between
-# products, which doubles CPU time (65 ms at 2^17, 53 ms at 2^22) and
-# gains no wall time.
+# tile side.  Each tile's search for left-out pairs is bounded by its size
+# too, so a pass holds O(_TILE) memory beyond its sides and outputs.
+# Measured on the benchmark's af-closed pool before equal grids took the
+# FFT (2-vCPU VM, median per surface): 2^16 takes 23 ms of wall and CPU
+# time alike, while smaller tiles pay numpy's per-call overhead (31 ms at
+# 2^15, 84 ms at 2^12).  A side holds at most 4 real rows or columns, so
+# at 2^16 each tile product is 2^18 multiply-adds, the most OpenBLAS keeps
+# on one thread; from 2^17 up its second thread takes a share and spins
+# between products, which doubles CPU time (65 ms at 2^17, 53 ms at 2^22)
+# and gains no wall time.
 _TILE = 1 << 16
 _TILE_SIDE = 1 << 8
 
@@ -95,14 +95,18 @@ def _tail_coeffs(betas: np.ndarray) -> np.ndarray:
     """Coefficients over orders -n..n: the one Bessel truncation rule.
 
     The coefficient FFT is sized from the first-order support estimate
-    sum_k k |beta_k| + 3 cbrt(.) + 40 and resolves orders well past it, so
-    n is the least order with sum_{|j| > n} |c_j|^2 below ``_TAIL``.  Only
-    an n beyond the estimate doubles it and redoes the FFT.  An estimate
-    beyond ``_N_MAX_CAP`` raises :class:`TruncationError` before any FFT.
+    sum_k k |beta_k| + 3 cbrt(.) + 40, or the harmonic count K if larger
+    (weak high harmonics still reach orders past K), and n is the least
+    order with sum_{|j| > n} |c_j|^2 below ``_TAIL``.  An m-point FFT
+    aliases order j onto j - m, so once 4 n <= m the kept orders' aliases
+    come from orders beyond 3 n, inside the tail already measured, and n
+    stands; only a larger n doubles the estimate and redoes the FFT.  An
+    estimate beyond ``_N_MAX_CAP`` raises :class:`TruncationError` before
+    any FFT.
     """
     k = np.arange(1, len(betas) + 1)
     weight = float(np.sum(k * np.abs(betas)))
-    est = int(np.ceil(weight + 3.0 * np.cbrt(weight))) + 40
+    est = max(int(np.ceil(weight + 3.0 * np.cbrt(weight))) + 40, len(betas))
     while est <= _N_MAX_CAP:
         m = _fft_points(est, len(betas))
         half = m // 2 - 1
@@ -111,7 +115,7 @@ def _tail_coeffs(betas: np.ndarray) -> np.ndarray:
         # Energy beyond orders half - 1, half - 2, ..., 0.
         tail = np.cumsum((p + p[::-1])[:half])
         n = half - int(np.count_nonzero(tail < _TAIL))
-        if n <= est:
+        if 4 * n <= m:
             return coef[half - n : half + n + 1]
         est *= 2
     raise TruncationError(
@@ -196,22 +200,18 @@ def _cauchy_sums(x, y, near, left, right=None):
     with |x_n - y_m| < ``near`` get C = 0; callers add them as exact terms
     (:func:`_pair_terms`).  This is the one place the kernel is applied.
 
-    When x and y are equal and the pairs left out are exactly the diagonal,
-    C_nm = kappa(n - m) is Toeplitz and antisymmetric, with
-    kappa(k) = 1 / (pi h k) at step h and kappa(0) = 0, so both products
-    are one FFT convolution.  Otherwise C is built in tiles of ``_TILE``
-    doubles over both n and m, each applied to both sides as real products
-    before the next is built, so the kernel stays in cache and one pass
-    costs O(N M) however many rows and columns the sides hold.  A tile
-    whose x and y ranges lie at least their summed widths (and ``near``)
-    apart is one base tile (x_i - x_0) - (y_j - y_0), shared by all such
-    tiles, plus the scalar x[n0] - y[m0]: there the progressions' rounding
-    is small against |x_n - y_m|.  Nearer tiles subtract exactly.
+    When x and y are equal and their step is at least ``near``, the pairs
+    left out are exactly the diagonal and C_nm = kappa(n - m) is Toeplitz
+    and antisymmetric, with kappa(k) = 1 / (pi h k) at step h and
+    kappa(0) = 0, so both products are one FFT convolution.  Otherwise C is
+    built in tiles of ``_TILE`` doubles over both n and m, each by one
+    exact subtraction with its left-out pairs found on that tile alone, and
+    applied to both sides as real products before the next is built: the
+    kernel stays in cache, one pass costs O(N M) however many rows and
+    columns the sides hold, and no pass holds more than a tile's pairs.
     """
     n_count, m_count = len(x), len(y)
-    ni, mj = _singular_pairs(x, y, near)
-    if (n_count == m_count and len(ni) == n_count and np.array_equal(x, y)
-            and np.array_equal(ni, mj)):
+    if np.array_equal(x, y) and np.all(np.diff(x) >= near):
         h = (x[-1] - x[0]) / max(n_count - 1, 1)
         size = _fast_len(2 * n_count - 1)
         kappa = np.zeros(size)
@@ -235,24 +235,15 @@ def _cauchy_sums(x, y, near, left, right=None):
     cols = min(m_count, max(_TILE_SIDE, _TILE // n_count)) or 1
     rows = min(n_count, _TILE // cols)
     buf = np.empty(rows * cols)
-    base = None
     for n0 in range(0, n_count, rows):
         xb = x[n0 : n0 + rows]
-        band = slice(*np.searchsorted(ni, [n0, n0 + rows]))
-        nb, mb = ni[band] - n0, mj[band]
         for m0 in range(0, m_count, cols):
             yb = y[m0 : m0 + cols]
-            kern = buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
-            gap = max(yb[0] - xb[-1], xb[0] - yb[-1])
-            if gap >= max(near, xb[-1] - xb[0] + yb[-1] - yb[0]):
-                if base is None:
-                    base = np.subtract.outer(x[:rows] - x[0], y[:cols] - y[0])
-                np.add(base[: len(xb), : len(yb)], xb[0] - yb[0], out=kern)
-            else:
-                np.subtract.outer(xb, yb, out=kern)
-                if gap < near:
-                    hit = (mb >= m0) & (mb < m0 + cols)
-                    kern[nb[hit], mb[hit] - m0] = np.inf
+            kern = np.subtract.outer(
+                xb, yb, out=buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
+            )
+            if yb[0] < xb[-1] + near and yb[-1] > xb[0] - near:
+                kern[_singular_pairs(xb, yb, near)] = np.inf
             np.divide(1.0 / np.pi, kern, out=kern)
             lc[:, m0 : m0 + cols] += side[:, n0 : n0 + rows] @ kern
             if right is not None:

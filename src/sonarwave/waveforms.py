@@ -404,15 +404,10 @@ def generate(spec: WaveformSpec) -> SampledSignal:
     sig = _SAMPLED.get(spec)
     if sig is None:
         fresh = _sample(spec)
-        # The kept array is a copy made after the sampler's temporaries are
-        # freed, so it lands in their space.  The sampler's own array sits
-        # above them and, kept, stopped glibc's malloc from reusing that
-        # space: perfbench's af-closed peak RSS rose by 3 MB, and so it did
-        # with an immutable bytes copy, 33 bytes longer than the freed
-        # arrays.  Holders get a read-only view of the locked copy.  Two
+        # Holders get a read-only view of the sampler's locked array.  Two
         # threads may both sample a missing spec; each gets a correct signal.
         sig = _last_sampled = _SAMPLED[spec] = replace(
-            fresh, samples=_frozen(fresh.samples.copy()))
+            fresh, samples=_frozen(fresh.samples))
     return sig
 
 

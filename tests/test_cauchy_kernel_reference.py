@@ -1,15 +1,19 @@
 """Side-by-side checks of the Cauchy kernel that both closed forms apply.
 
-``_tiled_cauchy_sums`` is the former body of ``gbf._cauchy_sums``: every
-tile of C_nm = 1 / (pi (x_n - y_m)) by an exact broadcast subtraction.
-The kernel must reproduce it to ``RTOL`` of sum_n |w_n| max |C| for each
-output (a row of ``left @ C`` or a column of ``C @ right``), on equal
-grids (the eta = 1 Doppler row, which one FFT convolution applies), on
-rows at eta < 1 and eta > 1, with pruned orders embedded at weight 0, at
-N = 1 and M = 1, at sizes that are no multiple of the tile side, on tiles
-that straddle the band of left-out pairs, and on a closed spectrum's lines
-against a grid that hits them.
+``_tiled_cauchy_sums`` builds every tile of C_nm = 1 / (pi (x_n - y_m))
+by an exact broadcast subtraction, as ``gbf._cauchy_sums`` does off the
+Toeplitz case, where the pairs left out are exactly the diagonal of equal
+grids.  The kernel must reproduce it exactly off that case, and to
+``RTOL`` of sum_n |w_n| max |C| for each output (a row of ``left @ C`` or
+a column of ``C @ right``) on it, where one FFT convolution applies the
+kernel (the eta = 1 Doppler row).  The cases are rows at eta < 1 and
+eta > 1, pruned orders embedded at weight 0, N = 1 and M = 1, sizes that
+are no multiple of the tile side, tiles that straddle the band of
+left-out pairs, and a closed spectrum's lines against a grid that hits
+them.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -96,8 +100,12 @@ def _assert_close(lc, cr, ref_lc, ref_cr, x, y, near, left, right):
 
 def _assert_matches(x, y, near, left, right):
     lc, cr = _cauchy_sums(x, y, near, left, right)
-    _assert_close(lc, cr, *_tiled_cauchy_sums(x, y, near, left, right),
-                  x, y, near, left, right)
+    ref_lc, ref_cr = _tiled_cauchy_sums(x, y, near, left, right)
+    _assert_close(lc, cr, ref_lc, ref_cr, x, y, near, left, right)
+    toeplitz = (np.array_equal(x, y)
+                and len(_singular_pairs(x, y, near)[0]) == len(x))
+    if not toeplitz:
+        assert np.array_equal(lc, ref_lc) and np.array_equal(cr, ref_cr)
     assert np.array_equal(_cauchy_sums(x, y, near, left), lc)
 
 
@@ -148,6 +156,23 @@ def test_pruned_orders_at_zero_weight():
         lc, cr = _cauchy_sums(x, y, 0.02, left, right)
         _assert_close(lc[:, keep], cr[keep], *ref, x[keep], y[keep], 0.02,
                       left[:, keep], right[keep])
+        _assert_matches(x, y, 0.02, left, right)
+
+
+def test_pair_search_memory_is_one_tile():
+    # Every pair is left out, so the kernel is 0; a search for them over the
+    # whole grid would hold N M index pairs (216 MB here).
+    n = 3000
+    x = 0.7 * np.arange(n)
+    left, right = _sides(np.random.default_rng(8), n, n)
+    tracemalloc.start()
+    try:
+        lc, cr = _cauchy_sums(x, x + 0.5, 1e9, left, right)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert not np.any(lc) and not np.any(cr)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (1, 700), (700, 1), (1, 257), (3, 5)])

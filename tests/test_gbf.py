@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from sonarwave import gbf
 from sonarwave.gbf import (
     _TAIL,
     GbfCoefficients,
@@ -13,6 +14,7 @@ from sonarwave.gbf import (
     support_bound,
 )
 from sonarwave.signal_core import ParameterError
+from sonarwave.waveforms import WaveformSpec, harmonic_series
 
 
 class TestBesselJ:
@@ -84,11 +86,30 @@ class TestGbfCoeffs:
             gbf_coeffs([10.0], n_max=5)
         assert support_bound([10.0]) == 30
 
-    def test_default_order_is_least_within_tail(self):
+    def test_default_order_is_least_within_tail(self, pool_specs, monkeypatch):
         # The default keeps orders out to the least n whose outer tail
-        # energy is below _TAIL, and matches a wide explicit truncation.
-        for betas in ([0.0], [7.3], [40.0], [20.0, -3.0, 0.5, 0.1]):
+        # energy is below _TAIL, matches a wide explicit truncation, and
+        # takes one coefficient FFT: on the series of every closed-form
+        # spec of the corpus and the benchmark pools too.
+        series = [[0.0], [7.3], [40.0], [20.0, -3.0, 0.5, 0.1]]
+        for doc in pool_specs:
+            try:
+                series.append(harmonic_series(WaveformSpec.from_dict(doc))[0])
+            except ParameterError:
+                pass
+        assert len(series) > 50
+        calls = []
+        fft = gbf._coeffs_fft
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(gbf, "_coeffs_fft", counted)
+        for betas in series:
+            calls.clear()
             c = gbf_coeffs(betas)
+            assert len(calls) == 1
             wide = gbf_coeffs(betas, n_max=4 * c.n_max + 100)
             energy = np.abs(wide.values) ** 2
             outside = np.abs(wide.orders)
