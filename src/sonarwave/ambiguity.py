@@ -14,10 +14,10 @@ forms that this module evaluates through the same coefficient machinery.
 The closed form is a double series over Bessel orders (n, m) of terms
 g1_n g2_m int exp(2j pi mu_nm t) dt over the support overlap [t1, t2],
 where mu_nm = x_n - y_m separates into one frequency per order.  Its
-Cauchy kernel 1 / (pi mu_nm) is applied once per Doppler row by
-:func:`sonarwave.gbf._cauchy_sums`, the routine the closed spectra share:
-by one FFT convolution on the eta = 1 row, where x = y, and in tiles on
-the others.
+Cauchy kernel 1 / (pi mu_nm) is applied once per Doppler row, or per
+reciprocal pair of rows, by :func:`sonarwave.gbf._cauchy_sums`, the
+routine the closed spectra share: by one FFT convolution on the eta = 1
+row, where x = y, and in tiles on the others.
 """
 
 from __future__ import annotations
@@ -499,22 +499,40 @@ def _closed_af_points(
     for every delay) or s / eta - tau (moving: tau + t = s / eta, so
     C R(s / eta) is).  :func:`sonarwave.gbf._cauchy_sums` thus applies the
     kernel once per row, to two rows and two columns, and each delay is one
-    dot product of length M or N per end: a row costs O(N M) whatever the
-    number of delays, and the eta = 1 row, where x = y and C is Toeplitz,
-    one FFT convolution.  The orders are the consecutive range from the
-    first to the last coefficient above ``_PRUNE``, with weight 0 on the
-    pruned ones inside it, so both x and y are arithmetic progressions.
-    Pairs with |mu_nm| times the row's longest overlap below ``_SINGULAR``
-    are summed as exact sinc terms instead.
+    dot product of length M or N per end.  Rows come in reciprocal pairs
+    on a grid symmetric in velocity, and |chi(tau, eta)| =
+    |chi(-eta tau, 1 / eta)| (substitute u = eta (t + tau)), so each point
+    on a row eta_b < 1 whose reciprocal is within 2 ulp of a row eta_a > 1
+    is first moved to (-tau / eta_a, eta_a).  A reciprocal pair of rows
+    thus costs O(N M) whatever the number of delays, and the eta = 1 row,
+    where x = y and C is Toeplitz, one FFT convolution.  The orders are the
+    consecutive range from the first to the last coefficient above
+    ``_PRUNE``, with weight 0 on the pruned ones inside it, so both x and y
+    are arithmetic progressions.  Pairs with |mu_nm| times the row's longest
+    overlap below ``_SINGULAR`` are summed as exact sinc terms instead.
 
     Raises :class:`TruncationError` before any allocation when the
     coefficients need orders beyond the truncation rule's cap.
     """
     T = tb - ta
-    taus = np.asarray(taus, dtype=float).ravel()
-    etas = np.asarray(etas, dtype=float).ravel()
+    # Copies: the fold below rewrites points in place.
+    taus = np.array(taus, dtype=float).ravel()
+    etas = np.array(etas, dtype=float).ravel()
     if not np.all(etas > 0):
         raise ParameterError("Doppler scales eta must be positive")
+    # Fold each row eta_b < 1 whose reciprocal is within 2 ulp of a row
+    # eta_a > 1 onto that row: |chi(tau, eta_b)| = |chi(-tau / eta_a, eta_a)|.
+    hi = np.unique(etas[etas > 1])
+    lo = np.nonzero(etas < 1)[0]
+    if len(hi) and len(lo):
+        recip = 1.0 / etas[lo]
+        j = np.searchsorted(hi, recip)
+        below, above = hi[np.maximum(j - 1, 0)], hi[np.minimum(j, len(hi) - 1)]
+        partner = np.where(recip - below <= above - recip, below, above)
+        pair = np.abs(recip - partner) <= 2 * np.spacing(partner)
+        lo, partner = lo[pair], partner[pair]
+        taus[lo] = -taus[lo] / partner
+        etas[lo] = partner
     c = gbf_coeffs(betas)
     # The kernel needs consecutive orders: keep the range from the first to
     # the last kept order, with weight 0 on the pruned orders inside it.
@@ -623,7 +641,12 @@ def closed_af_surface(
     c: float = DEFAULT_SOUND_SPEED,
     model: FourierPhaseModel | None = None,
 ) -> AmbiguitySurface:
-    """Full closed-form surface for a rectangular sfm or even gsfm spec."""
+    """Full closed-form surface for a rectangular sfm or even gsfm spec.
+
+    A row whose reciprocal is another row of ``etas`` (to 2 ulp) shares
+    that row's Cauchy kernel, so a grid symmetric in velocity costs about
+    half per non-unit row.
+    """
     _check_sound_speed(c)
     delays = _finite_grid(delays, "delays")
     etas = _finite_grid(etas, "Doppler scales")

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from sonarwave.ambiguity import ambiguity_numeric, read_binary_surface
+from sonarwave.ambiguity import (
+    ambiguity_numeric, gsfm_af_closed, read_binary_surface,
+)
 from sonarwave.analysis import UndefinedMetricError, papr
 from sonarwave.cli import _load_spec, run
 from sonarwave.gbf import TruncationError
@@ -176,6 +178,22 @@ class TestAf:
              "--etas", "1", "--closed", "--out", str(out)]
         ) == 0
         assert len(out.read_text().strip().split("\n")) == 3
+
+    def test_closed_reciprocal_rows_match_one_row_calls(
+        self, spec_dir, tmp_path
+    ):
+        # 1 / 0.8 == 1.25 exactly, so the 0.8 row folds onto the 1.25 row.
+        out = tmp_path / "af.csv"
+        spec = spec_dir / "fig6_gsfm.json"
+        assert run(["af", "--spec", str(spec), "--taus=-0.5:0.5:41",
+                    "--etas", "0.8,1,1.25", "--closed", "--out", str(out)]) == 0
+        got = np.loadtxt(out, delimiter=",", skiprows=1)
+        taus = np.linspace(-0.5, 0.5, 41)
+        rows = [gsfm_af_closed(_load_spec(spec), None, taus, eta) ** 2
+                for eta in (0.8, 1.0, 1.25)]
+        want = np.concatenate(rows) / np.max(rows)
+        np.testing.assert_array_equal(got[:, 0], np.tile(taus, 3))
+        assert np.max(np.abs(got[:, 3] - want)) <= 1e-10
 
     @pytest.mark.parametrize("c", ["0", "nan", "-1500"])
     def test_bad_sound_speed(self, spec_file, tmp_path, capsys, c):

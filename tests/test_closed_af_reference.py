@@ -10,15 +10,22 @@ rectangular sfm and even gsfm specs.  Every grid holds the eta = 1 row
 (exact mu = 0 pairs), delays next to +-T where the overlap vanishes, and
 rows at eta < 1 and eta > 1, and every grid meets each combination of
 fixed overlap ends (at a support edge) and moving ones (at edge / eta -
-tau).
+tau).  Those grids hold no reciprocal pair of rows, and each call must
+equal its rows taken one per call bit for bit.  Grids with the pair
+eta(v), eta(-v) check the fold of one row onto the other against the
+reference and against one row per call, and the reference itself is
+checked for the identity the fold rests on.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sonarwave import ambiguity
 from sonarwave.ambiguity import _PRUNE, _closed_af_points, doppler_eta
 from sonarwave.gbf import _coeffs_fft, gbf_coeffs
 from sonarwave.waveforms import WaveformSpec, harmonic_series
@@ -87,6 +94,14 @@ def _end_kinds(ta, tb, taus, etas):
     return set(zip((t1 == ta)[cells], (t2 == tb)[cells]))
 
 
+def _per_row(args, taus, etas):
+    """|chi| on the (taus x etas) grid, one row per call: no row folds."""
+    return np.concatenate([
+        _closed_af_points(*args, taus, np.full(len(taus), eta))
+        for eta in etas
+    ])
+
+
 def _assert_matches_reference(spec, v):
     args = harmonic_series(spec)
     taus, etas = _grid(spec.T, v)
@@ -97,14 +112,59 @@ def _assert_matches_reference(spec, v):
     new = _closed_af_points(*args, tt, ee)
     assert ref.max() > 0.5
     assert np.max(np.abs(new - ref)) <= RTOL * ref.max()
+    # No two rows are reciprocal, so no row folds.
+    np.testing.assert_array_equal(new, _per_row(args, taus, etas))
+
+
+def _assert_folded_matches_reference(spec, v):
+    """The rows eta = 1, eta(v) and eta(-v) on the delays of ``_grid``."""
+    args = harmonic_series(spec)
+    taus, _ = _grid(spec.T, v)
+    etas = np.array([1.0, doppler_eta(v), doppler_eta(-v)])
+    tt, ee = (a.ravel() for a in np.meshgrid(taus, etas))
+    tt0, ee0 = tt.copy(), ee.copy()
+    with mock.patch.object(
+        ambiguity, "_cauchy_sums", wraps=ambiguity._cauchy_sums
+    ) as kernel:
+        new = _closed_af_points(*args, tt, ee)
+    # One kernel for the eta = 1 row, one for the pair.
+    assert kernel.call_count == 2
+    # The fold works on copies: the caller's points are unchanged.
+    np.testing.assert_array_equal(tt, tt0)
+    np.testing.assert_array_equal(ee, ee0)
+    ref = _tensor_af_points(*args, tt, ee)
+    assert ref.max() > 0.5
+    assert np.max(np.abs(new - ref)) <= RTOL * ref.max()
+    assert np.max(np.abs(new - _per_row(args, taus, etas))) <= RTOL * ref.max()
+
+
+def _assert_reference_is_reciprocal(spec, v):
+    """The identity the fold rests on, checked on the reference alone."""
+    args = harmonic_series(spec)
+    tt, ee = (a.ravel() for a in np.meshgrid(*_grid(spec.T, v)))
+    ref = _tensor_af_points(*args, tt, ee)
+    mirror = _tensor_af_points(*args, -ee * tt, 1.0 / ee)
+    assert np.max(np.abs(mirror - ref)) <= RTOL * ref.max()
+
+
+def _readme_spec(spec_dir, name):
+    return WaveformSpec.from_dict(
+        json.loads((spec_dir / f"{name}.json").read_text())
+    )
 
 
 def test_readme_specs_match_tensor(spec_dir):
     for name in ("fig5_sfm", "fig6_gsfm"):
-        spec = WaveformSpec.from_dict(
-            json.loads((spec_dir / f"{name}.json").read_text())
-        )
-        _assert_matches_reference(spec, 20.0)
+        _assert_matches_reference(_readme_spec(spec_dir, name), 20.0)
+
+
+@pytest.mark.parametrize("v, exact", [(20.0, True), (2.5, False),
+                                      (25.0, False)])
+@pytest.mark.parametrize("name", ["fig5_sfm", "fig6_gsfm"])
+def test_readme_reciprocal_rows_match_tensor(spec_dir, name, v, exact):
+    # At 2.5 and 25 m/s, 1 / eta(-v) is 1 ulp off eta(v).
+    assert (1.0 / doppler_eta(-v) == doppler_eta(v)) is exact
+    _assert_folded_matches_reference(_readme_spec(spec_dir, name), v)
 
 
 _DRAWN = settings(
@@ -129,6 +189,8 @@ def test_drawn_sfm_matches_tensor(T, f_c, cycles, beta, even, v):
         symmetry="even" if even else "nonsymmetric",
     )
     _assert_matches_reference(spec, v)
+    _assert_folded_matches_reference(spec, v)
+    _assert_reference_is_reciprocal(spec, v)
 
 
 @_DRAWN
@@ -145,3 +207,5 @@ def test_drawn_gsfm_matches_tensor(T, f_c, tbp, rho, cycles, v):
         family="gsfm", T=T, f_c=f_c, delta_f=tbp / T, rho=rho, cycles=cycles,
     )
     _assert_matches_reference(spec, v)
+    _assert_folded_matches_reference(spec, v)
+    _assert_reference_is_reciprocal(spec, v)
