@@ -585,8 +585,9 @@ def _closed_af_points(
                 val.append(at)
             chi = (val[0] - val[1]) / 2j
             for m, terms in _pair_terms(g, x, y, near, t1[sel], t2[sel]):
-                phase = np.exp(-2j * np.pi * np.outer(tau, y[m]))
-                chi += np.sum(terms * phase * gc[m], axis=1)
+                terms *= np.exp(-2j * np.pi * np.outer(tau, y[m]))
+                terms *= gc[m]
+                chi += np.sum(terms, axis=1)
             out[sel] = np.sqrt(eta) * np.abs(chi) / T
     return out
 

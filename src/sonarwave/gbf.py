@@ -178,14 +178,19 @@ def _fft_points(n_max: int, k_count: int) -> int:
     return 1 << int(np.ceil(np.log2(max(8 * n_max, 4 * k_count, 256))))
 
 
+def _singular_runs(x: np.ndarray, y: np.ndarray, near: float):
+    """First index and length of the run of y_m within ``near`` of each x_n."""
+    lo = np.searchsorted(y, x - near, side="right")
+    return lo, np.searchsorted(y, x + near, side="left") - lo
+
+
 def _singular_pairs(x: np.ndarray, y: np.ndarray, near: float):
     """Index arrays (n, m) of the pairs with |x_n - y_m| < ``near``.
 
     x and y ascend, so each x_n meets one run of y_m; the pairs come
     ordered by n.
     """
-    lo = np.searchsorted(y, x - near, side="right")
-    count = np.searchsorted(y, x + near, side="left") - lo
+    lo, count = _singular_runs(x, y, near)
     ni = np.repeat(np.arange(len(x)), count)
     mj = np.arange(len(ni)) + np.repeat(lo - np.cumsum(count) + count, count)
     return ni, mj
@@ -239,9 +244,11 @@ def _cauchy_sums(x, y, near, left, right=None):
         xb = x[n0 : n0 + rows]
         for m0 in range(0, m_count, cols):
             yb = y[m0 : m0 + cols]
-            kern = np.subtract.outer(
-                xb, yb, out=buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
-            )
+            # Broadcast, then subtract in place: the same exact values as
+            # np.subtract.outer, in three quarters of its time.
+            kern = buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
+            kern[:] = xb[:, None]
+            np.subtract(kern, yb, out=kern)
             if yb[0] < xb[-1] + near and yb[-1] > xb[0] - near:
                 kern[_singular_pairs(xb, yb, near)] = np.inf
             np.divide(1.0 / np.pi, kern, out=kern)
@@ -259,21 +266,32 @@ def _pair_terms(g1, x, y, near, t1, t2):
     """Exact terms of the pairs :func:`_cauchy_sums` leaves out.
 
     Yields ``(m, terms)`` blocks over the pairs (n, m) with
-    |x_n - y_m| < ``near``: ``terms`` is the (P, K) array of
+    |x_n - y_m| < ``near``, ordered by n: ``terms`` is the (K, P) array of
     g1_n int_t1p^t2p exp(2j pi (x_n - y_m) t) dt as sinc terms, one row
-    per interval, and ``m`` the pairs' y indices.  No block exceeds
-    ``_CHUNK_BYTES``.
+    per interval, and ``m`` the pairs' y indices.  A block's arrays, with
+    a caller's phase factor and in-place products of the same shape,
+    stay within ``_CHUNK_BYTES`` at any moment.
     """
     length = t2 - t1
     center = 0.5 * (t1 + t2)
-    step = max(_CHUNK_BYTES // (8 * max(len(y), 1)), 1)
-    pairs = max(_CHUNK_BYTES // (16 * len(length)), 1)
-    for n0 in range(0, len(x), step):
-        ni, mj = _singular_pairs(x[n0 : n0 + step], y, near)
-        ni += n0
-        for s0 in range(0, len(ni), pairs):
-            n_s, m_s = ni[s0 : s0 + pairs], mj[s0 : s0 + pairs]
-            mu = x[n_s] - y[m_s]
-            terms = np.outer(length, g1[n_s]) * np.sinc(np.outer(length, mu))
-            terms *= np.exp(2j * np.pi * np.outer(center, mu))
-            yield m_s, terms
+    # Pairs are numbered row by row: row n holds the run of count_n pairs
+    # ending before ends_n, and its pair p sits at column p + start_n.
+    lo, count = _singular_runs(x, y, near)
+    ends = np.cumsum(count)
+    start = lo - ends + count
+    # Bytes alive at once, per pair and interval: the caller's previous
+    # block (16) while this one is built (40: the sinc's workspace, its
+    # product and the complex phase), or a block and the caller's phase
+    # factor built in place (56); and 64 per pair of indices and gathers.
+    pairs = max(_CHUNK_BYTES // (56 * len(length) + 64), 1)
+    for s0 in range(0, ends[-1], pairs):
+        p = np.arange(s0, min(s0 + pairs, ends[-1]))
+        n_s = np.searchsorted(ends, p, side="right")
+        m_s = p + start[n_s]
+        mu = x[n_s] - y[m_s]
+        terms = np.sinc(np.outer(length, mu)) * np.outer(length, g1[n_s])
+        phase = 2j * np.pi * np.outer(center, mu)
+        terms *= np.exp(phase, out=phase)
+        # Not held while the caller works on the block.
+        del phase
+        yield m_s, terms

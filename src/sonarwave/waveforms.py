@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
@@ -381,9 +382,12 @@ _PHASES = {
 
 # The signals ``generate`` has sampled, by spec, while any caller holds one.
 _SAMPLED = weakref.WeakValueDictionary()
-# The last signal sampled, held until the next one: a report that samples a
-# spec and drops it, then asks again, samples it once.
-_last_sampled: Optional[SampledSignal] = None
+# The signals of the last _RECENT distinct specs asked for, oldest first,
+# held until newer specs push them out: a design loop that asks for each
+# candidate and then its reference samples the reference once.
+_RECENT = 2
+_recent: dict = {}
+_recent_lock = threading.Lock()
 
 
 def generate(spec: WaveformSpec) -> SampledSignal:
@@ -396,18 +400,22 @@ def generate(spec: WaveformSpec) -> SampledSignal:
 
     The samples are read-only, and one signal is shared by equal specs:
     while any caller holds the signal of a spec, an equal spec returns that
-    same object, as does the last spec sampled.  Its transforms, such as
-    its default :func:`~sonarwave.signal_core.spectrum_of`, are computed
-    once and kept with it.  A spec that raises raises again on every call.
+    same object, and so does a spec equal to one of the last two distinct
+    specs asked for.  Its transforms, such as its default
+    :func:`~sonarwave.signal_core.spectrum_of`, are computed once and kept
+    with it.  A spec that raises raises again on every call.
     """
-    global _last_sampled
     sig = _SAMPLED.get(spec)
     if sig is None:
         fresh = _sample(spec)
         # Holders get a read-only view of the sampler's locked array.  Two
         # threads may both sample a missing spec; each gets a correct signal.
-        sig = _last_sampled = _SAMPLED[spec] = replace(
-            fresh, samples=_frozen(fresh.samples))
+        sig = _SAMPLED[spec] = replace(fresh, samples=_frozen(fresh.samples))
+    with _recent_lock:
+        _recent.pop(spec, None)
+        _recent[spec] = sig
+        if len(_recent) > _RECENT:
+            del _recent[next(iter(_recent))]
     return sig
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sonarwave import ambiguity
+from sonarwave import ambiguity, gbf
 from sonarwave.ambiguity import (
     AmbiguityCut,
     AmbiguitySurface,
@@ -277,6 +277,26 @@ class TestClosedForms:
             tracemalloc.stop()
         assert peak < 8 << 20
         assert surf.values.max() == 1.0
+
+    def test_exact_pair_terms_stay_within_their_chunk(self, monkeypatch):
+        # Overlaps of 1-4 ps make every one of the 881^2 order pairs an
+        # exact sinc term (776k pairs x 4 delays): blocked by a 4 MiB
+        # _CHUNK_BYTES, the terms, the caller's phase factor and the
+        # previous block stay within it, plus arrays of one row of orders.
+        betas, taus = np.array([400.0]), 1.0 - 1e-12 * np.arange(1, 5)
+        args = (betas, 1.0, 100.0, -0.5, 0.5, taus, np.ones(4))
+        whole = ambiguity._closed_af_points(*args)
+        chunk = 4 << 20
+        monkeypatch.setattr(gbf, "_CHUNK_BYTES", chunk)
+        tracemalloc.start()
+        try:
+            blocked = ambiguity._closed_af_points(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < chunk + 64 * 881
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(whole, 1e-12 * np.arange(1, 5), rtol=1e-4)
 
 
 class TestCutStatistics:

@@ -35,6 +35,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sonarwave import waveforms
 from sonarwave.analysis import (
     UndefinedMetricError,
     bandwidth_98,
@@ -367,7 +368,7 @@ def test_writable_signal_keeps_no_transform():
 
 def test_kept_transforms_are_freed_with_their_signal():
     # 50 distinct 16,000-sample specs, each transformed and dropped: only
-    # the last one sampled stays, with its transforms, not 50 of them.
+    # the last two asked for stay, with their transforms, not 50 of them.
     def spec(k):
         return WaveformSpec(family="cw", T=0.5, f_c=2000.0 + k,
                             sample_rate=32000.0)
@@ -389,7 +390,31 @@ def test_kept_transforms_are_freed_with_their_signal():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert nbytes <= retained < 1.5 * nbytes
+    assert 2 * nbytes <= retained < 2.5 * nbytes
+
+
+def test_design_loop_samples_its_reference_once(monkeypatch):
+    # Each candidate is scored against one reference, and no signal is
+    # held between reports: the reference stays among the last two specs
+    # asked for, so it is sampled once, not once per candidate.
+    resp = _responses_at(3000.0)["nonequalized"]
+    ref = WaveformSpec(family="lfm", T=0.25, f_c=3000.0, delta_f=300.0,
+                       sample_rate=24000.0)
+    sampled = []
+    sample = waveforms._sample
+
+    def counted(spec):
+        sampled.append(spec)
+        return sample(spec)
+
+    monkeypatch.setattr(waveforms, "_sample", counted)
+    for k in range(5):
+        cand = WaveformSpec(family="cw", T=0.25, f_c=3001.0 + k,
+                            sample_rate=24000.0)
+        rows = trw_report([(f"c{k}", cand), ("ref", ref)], resp, "ref")
+        assert rows[0]["error"] is None
+    assert sampled.count(ref) == 1
+    assert len(sampled) == 6
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import gc
 import json
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -596,8 +598,8 @@ def test_raising_spec_raises_again():
 
 
 def test_unheld_signals_are_not_retained():
-    # 50 distinct 17,600-sample specs, none held: only the last one sampled
-    # stays, not 50 x 282 kB.
+    # 50 distinct 17,600-sample specs, none held: only the last two asked
+    # for stay, not 50 x 282 kB.
     def spec(k):
         return WaveformSpec(family="cw", T=T, f_c=FC + k)
 
@@ -611,7 +613,27 @@ def test_unheld_signals_are_not_retained():
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert nbytes <= retained < 1.5 * nbytes
+    assert 2 * nbytes <= retained < 2.5 * nbytes
+
+
+def test_concurrent_generate_returns_correct_signals():
+    # 4 threads ask for 8 specs, each in its own order, so misses, hits and
+    # evictions of the kept specs race: every signal must still be right.
+    specs = [WaveformSpec(family="lfm", T=0.05, f_c=FC + 10 * k, delta_f=DF)
+             for k in range(8)]
+    expected = [_sample(spec) for spec in specs]
+    start = threading.Barrier(4)
+
+    def ask(seed):
+        order = np.random.default_rng(seed).permutation(8 * 25) % 8
+        start.wait()
+        return [(k, generate(specs[k])) for k in order]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        results = list(pool.map(ask, range(4)))
+    for got in results:
+        for k, sig in got:
+            assert same_signal(sig, expected[k])
 
 
 NUMBER_FIELDS = ("T", "f_c", "delta_f", "f_m", "rho", "alpha", "cycles",
