@@ -226,8 +226,12 @@ def read_binary_surface(path) -> AmbiguitySurface:
 
 
 def _cis(phase: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(1j * phase) for real ``phase`` into ``out``, at half the cost of
-    np.exp."""
+    """exp(1j * phase) for real ``phase``, written into ``out``.
+
+    The values are np.exp(1j * phase)'s, bit for bit, and so is the cost:
+    at 16,384 points (numpy 2.4.6) this took 694 us against 659 us.  What
+    it saves is the complex temporary.
+    """
     np.cos(phase, out=out.real)
     np.sin(phase, out=out.imag)
     return out
@@ -498,8 +502,11 @@ def _closed_af_points(
     is either a support edge s for a given delay (fixed: A(s) C is the same
     for every delay) or s / eta - tau (moving: tau + t = s / eta, so
     C R(s / eta) is).  :func:`sonarwave.gbf._cauchy_sums` thus applies the
-    kernel once per row, to two rows and two columns, and each delay is one
-    dot product of length M or N per end.  Rows come in reciprocal pairs
+    kernel once per row, to two rows and two columns.  Each delay then
+    needs one sum sum_m w_m exp(j a (x0 + h m)) per end over orders whose
+    frequencies are an arithmetic progression, which
+    :func:`_progression_sums` takes from two tables of about sqrt(M)
+    phasors per delay.  Rows come in reciprocal pairs
     on a grid symmetric in velocity, and |chi(tau, eta)| =
     |chi(-eta tau, 1 / eta)| (substitute u = eta (t + tau)), so each point
     on a row eta_b < 1 whose reciprocal is within 2 ulp of a row eta_a > 1
@@ -548,8 +555,8 @@ def _closed_af_points(
     t2 = np.minimum(tb, tb / etas - taus)
     length = np.maximum(t2 - t1, 0.0)
 
-    # Delays per batch: each (delays x orders) phase matrix is one kernel
-    # tile, so its products stay as small as the kernel's.
+    # Delays per batch: delays x orders within one kernel tile, so that a
+    # batch's phasor tables (delays x 2 sqrt(orders)) stay smaller still.
     batch = max(_TILE // len(g), 1)
     out = np.zeros(len(taus))
     for eta in np.unique(etas):
@@ -557,7 +564,8 @@ def _closed_af_points(
         if len(rows) == 0:
             continue
         x = fc_eff * (1.0 - eta) + f0 * orders
-        y = f0 * eta * orders
+        h = f0 * eta
+        y = h * orders
         # Shared factors of the ends t2 (at tb) and t1 (at ta): A(s) C for
         # the delays that find an end at its edge s, C R(s / eta) for the
         # others.
@@ -576,11 +584,11 @@ def _closed_af_points(
             for e, t in enumerate((t2[sel], t1[sel])):
                 fixed = t == edges[e]
                 at = np.empty(len(sel), dtype=np.complex128)
-                at[fixed] = _phase_sums(
-                    -2.0 * np.pi * np.outer(tau[fixed] + t[fixed], y), u[e]
+                at[fixed] = _progression_sums(
+                    -2.0 * np.pi * (tau[fixed] + t[fixed]), y[0], h, u[e]
                 )
-                at[~fixed] = _phase_sums(
-                    2.0 * np.pi * np.outer(t[~fixed], x), v[:, e]
+                at[~fixed] = _progression_sums(
+                    2.0 * np.pi * t[~fixed], x[0], f0, v[:, e]
                 )
                 val.append(at)
             chi = (val[0] - val[1]) / 2j
@@ -592,20 +600,28 @@ def _closed_af_points(
     return out
 
 
-def _phase_sums(phase: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_m w_m exp(1j phase_pm) for each row p of the real ``phase``.
+def _progression_sums(
+    a: np.ndarray, x0: float, h: float, w: np.ndarray
+) -> np.ndarray:
+    """sum_m w_m exp(1j a_p (x0 + h m)), m = 0..M-1, for each entry a_p.
 
-    cos and sin of the phases meet the real and imaginary parts of ``w`` in
-    one real product: half the work of complex exponentials and a complex
-    matrix-vector product.
+    Baby-step giant-step tables: with m = b q + r and b = ceil(sqrt(M)),
+    each sum is sum_q exp(1j a_p h b q) sum_r w_(b q + r) exp(1j a_p (x0 +
+    h r)).  So b + ceil(M / b) phasors per a_p and one matrix product
+    replace the cos and sin of M phases, on any set of a_p.  Every table
+    phase is at most twice max_m |a_p (x0 + h m)| and rounded a few times,
+    so each sum stays within a few ulp of that phase times sum |w|, as the
+    direct sum does.
     """
-    p_count = len(phase)
-    cs = np.empty((2 * p_count, phase.shape[1]))
-    np.cos(phase, out=cs[:p_count])
-    np.sin(phase, out=cs[p_count:])
-    r = cs @ np.stack([w.real, w.imag], axis=1)
-    c, s = r[:p_count], r[p_count:]
-    return (c[:, 0] - s[:, 1]) + 1j * (c[:, 1] + s[:, 0])
+    b = int(np.ceil(np.sqrt(len(w))))
+    q_count = -(-len(w) // b)
+    wq = np.zeros((q_count, b), dtype=np.complex128)
+    wq.flat[: len(w)] = w
+    phase = np.outer(a, np.concatenate([x0 + h * np.arange(b),
+                                        (h * b) * np.arange(q_count)]))
+    tables = _cis(phase, np.empty(phase.shape, dtype=np.complex128))
+    baby, giant = tables[:, :b], tables[:, b:]
+    return np.einsum("pq,pq->p", giant, baby @ wq.T)
 
 
 def _closed_af(spec: WaveformSpec, model: FourierPhaseModel | None, tau, eta):

@@ -14,7 +14,7 @@ leaves out (:func:`_pair_terms`).  The kernel's two grids are arithmetic
 progressions (consecutive Bessel orders, or a spectrum's lines and its
 uniform frequency grid): on equal grids it is Toeplitz and one FFT
 convolution applies it; otherwise it is built in tiles, each by one exact
-subtraction, with its left-out pairs found on that tile alone.
+rank-2 product, with its left-out pairs found on that tile alone.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ _CHUNK_BYTES = 1 << 26
 # at 2^16 each tile product is 2^18 multiply-adds, the most OpenBLAS keeps
 # on one thread; from 2^17 up its second thread takes a share and spins
 # between products, which doubles CPU time (65 ms at 2^17, 53 ms at 2^22)
-# and gains no wall time.
+# and gains no wall time.  The rank-2 product that builds a tile is 2^17
+# multiply-adds, so it stays on one thread too.
 _TILE = 1 << 16
 _TILE_SIDE = 1 << 8
 
@@ -210,7 +211,8 @@ def _cauchy_sums(x, y, near, left, right=None):
     and antisymmetric, with kappa(k) = 1 / (pi h k) at step h and
     kappa(0) = 0, so both products are one FFT convolution.  Otherwise C is
     built in tiles of ``_TILE`` doubles over both n and m, each by one
-    exact subtraction with its left-out pairs found on that tile alone, and
+    exact rank-2 product (x_n - y_m rounded once, as a subtraction rounds
+    it) with its left-out pairs found on that tile alone, and
     applied to both sides as real products before the next is built: the
     kernel stays in cache, one pass costs O(N M) however many rows and
     columns the sides hold, and no pass holds more than a tile's pairs.
@@ -240,15 +242,17 @@ def _cauchy_sums(x, y, near, left, right=None):
     cols = min(m_count, max(_TILE_SIDE, _TILE // n_count)) or 1
     rows = min(n_count, _TILE // cols)
     buf = np.empty(rows * cols)
+    # x_n - y_m = [x_n, -1] @ [1; y_m]: both products are exact, so the
+    # rank-2 product rounds once, to np.subtract.outer's values, in 27 us
+    # a 256 x 256 tile against 68-72 us to broadcast and subtract.
+    xs = np.stack([x, -np.ones(n_count)], axis=1)
+    ys = np.stack([np.ones(m_count), y])
     for n0 in range(0, n_count, rows):
         xb = x[n0 : n0 + rows]
         for m0 in range(0, m_count, cols):
             yb = y[m0 : m0 + cols]
-            # Broadcast, then subtract in place: the same exact values as
-            # np.subtract.outer, in three quarters of its time.
             kern = buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
-            kern[:] = xb[:, None]
-            np.subtract(kern, yb, out=kern)
+            np.matmul(xs[n0 : n0 + rows], ys[:, m0 : m0 + cols], out=kern)
             if yb[0] < xb[-1] + near and yb[-1] > xb[0] - near:
                 kern[_singular_pairs(xb, yb, near)] = np.inf
             np.divide(1.0 / np.pi, kern, out=kern)

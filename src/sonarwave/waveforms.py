@@ -553,19 +553,23 @@ _K_MAX = 4096
 def _if_cosine_coeffs(spec: WaveformSpec) -> np.ndarray:
     """Cosine coefficients [a0, a1, ..., a_{_K_MAX}] of the normalized IF.
 
-    FFT projection on a fine midpoint grid over one period [-T/2, T/2].
+    a_k = (2/m) sum_i g(t_i) cos(2 pi k t_i / T) over m midpoints t_i of
+    one period [-T/2, T/2].  g is even, so the m/2 midpoints of [0, T/2]
+    carry the sum, and it is their DCT-II times 4/m.  One real FFT V of
+    those m/2 samples, the even-indexed ones in order and then the
+    odd-indexed ones reversed, takes it: a_k = (4/m) Re[exp(-j pi k / m)
+    V_k] (Makhoul, IEEE Trans. ASSP 28(1), 1980).
     """
     T = spec.T
     m = 1 << max(
         int(np.ceil(np.log2(max(16 * _K_MAX, 64.0 * spec.gsfm_cycles + 64.0)))), 10
     )
-    t = -T / 2.0 + (np.arange(m) + 0.5) * T / m
-    g = gsfm_if_modulation(spec, t)
-    coef = np.fft.rfft(g)[: _K_MAX + 1]
+    i = np.arange(m // 2)
+    # Midpoint i of [0, T/2] sits at (i + 1/2) T / m; Makhoul's order.
+    i = np.concatenate([i[0::2], i[1::2][::-1]])
+    v = np.fft.rfft(gsfm_if_modulation(spec, (i + 0.5) * T / m))[: _K_MAX + 1]
     k = np.arange(_K_MAX + 1)
-    # Midpoint samples start half a bin past -T/2; undo that phase.
-    coef = coef * np.exp(1j * np.pi * k * (1.0 - 1.0 / m))
-    return 2.0 * coef.real / m
+    return 4.0 * (v * np.exp(-1j * np.pi * k / m)).real / m
 
 
 def gsfm_fourier_coeffs(spec: WaveformSpec) -> FourierPhaseModel:
