@@ -7,7 +7,8 @@ The wideband matched-filter response is
 with Doppler scale eta = (1 + v/c)/(1 - v/c).  Numeric surfaces are computed
 in the frequency domain, chi = eta^-1/2 int S(f) conj(S(f/eta))
 exp(-2j pi f tau) df: the spectrum once by FFT, each row's scaled spectrum
-exactly by a chirp-z transform, and one FFT per row back to delay.  The
+exactly by a chirp-z transform, and one FFT per row back to delay; a row
+whose reciprocal is another row reads that row's result.  The
 rectangular SFM and gsfm admit Bessel/generalized-Bessel series closed
 forms that this module evaluates through the same coefficient machinery.
 
@@ -284,6 +285,31 @@ def _czt(x, f_lo, df, k, fs, ramp, real, chirp, bufs):
     return a[:k]
 
 
+def _reciprocal_partners(etas: np.ndarray):
+    """Rows eta_b < 1 whose reciprocal is within 2 ulp of a row eta_a > 1.
+
+    Returns the indices of those rows and, for each, the index of the
+    first row holding its partner eta_a.  Since |chi(tau, eta)| =
+    |chi(-eta tau, 1 / eta)| (substitute u = eta (t + tau)), such a row is
+    read from its partner's at -tau / eta_a, and a grid symmetric in
+    velocity computes about half its rows.  2 ulp, because 1 /
+    doppler_eta(-v) is 1 ulp off doppler_eta(v) at some speeds (2.5, 6.5,
+    7.5 and 25 m/s among them).
+    """
+    hi = np.nonzero(etas > 1)[0]
+    lo = np.nonzero(etas < 1)[0]
+    if len(hi) == 0 or len(lo) == 0:
+        return lo[:0], lo[:0]
+    values, first = np.unique(etas[hi], return_index=True)
+    recip = 1.0 / etas[lo]
+    j = np.searchsorted(values, recip)
+    below, above = np.maximum(j - 1, 0), np.minimum(j, len(values) - 1)
+    near = np.where(recip - values[below] <= values[above] - recip,
+                    below, above)
+    pair = np.abs(recip - values[near]) <= 2 * np.spacing(values[near])
+    return lo[pair], hi[first[near[pair]]]
+
+
 def _af_rows(
     sig: SampledSignal, delays: np.ndarray, etas: np.ndarray
 ) -> np.ndarray:
@@ -304,6 +330,15 @@ def _af_rows(
     a (1/eta - 1), which are interpolated onto ``delays``; cells outside a
     row's support are zero.
 
+    A row eta_b < 1 whose reciprocal is within 2 ulp of a row eta_a > 1
+    (:func:`_reciprocal_partners`) takes no transform of its own: since
+    |chi(tau, eta_b)| = |chi(-tau / eta_a, eta_a)|, it reads eta_a's
+    demodulated chi at -tau / eta_a, inside eta_a's support.  A grid
+    symmetric in velocity thus takes one chirp-z transform and one FFT per
+    +-v pair of rows.  The lag window and the FFT length are sized over
+    every row's own delays, as without the fold, and widened only where a
+    folded point falls outside that window (a one-sided delay grid).
+
     Every array as long as the FFT grid, a chirp-z transform or the lag
     window lives in one workspace, allocated once per call before the row
     loop and sized for the longest chirp-z transform the grid allows; each
@@ -321,6 +356,14 @@ def _af_rows(
     hi = (t0 + T) / etas - t0
     first = np.clip(delays.min(), lo, hi) - shift
     last = np.clip(delays.max(), lo, hi) - shift
+    # A folded row reads its partner a at -tau / eta_a: widen the window
+    # where those points fall outside it.
+    folded, a = _reciprocal_partners(etas)
+    if len(folded):
+        first = np.append(first, np.clip(-delays.max() / etas[a], lo[a],
+                                         hi[a]) - shift[a])
+        last = np.append(last, np.clip(-delays.min() / etas[a], lo[a],
+                                       hi[a]) - shift[a])
     # The sample lags l0, l0 + 1, ... around the delay window.
     l0 = int(np.floor(first.min() * fs)) - 1
     count = int(np.ceil(last.max() * fs)) + 2 - l0
@@ -366,7 +409,13 @@ def _af_rows(
     np.multiply(lag_t, 2.0 * np.pi * fbar / fs, out=real[:count])
     _cis(real[:count], demod)
     lag_t /= fs
+    readers = {}
+    for b, i in zip(folded.tolist(), a.tolist()):
+        readers.setdefault(i, []).append(b)
+    skip = set(folded.tolist())
     for i, eta in enumerate(etas):
+        if i in skip:
+            continue
         if eta == 1.0:
             row[:nfft] = power
         else:
@@ -392,10 +441,11 @@ def _af_rows(
             chi = np.abs(chi, out=row.view(float)[:count])
         else:
             chi *= demod
-        inside = (delays > lo[i]) & (delays < hi[i])
-        out[i, inside] = np.abs(np.interp(
-            delays[inside], np.add(lag_t, shift[i], out=real[:count]), chi
-        ))
+        lags = np.add(lag_t, shift[i], out=real[:count])
+        for dst, at in [(i, delays)] + [(b, -delays / eta)
+                                        for b in readers.get(i, ())]:
+            inside = (at > lo[i]) & (at < hi[i])
+            out[dst, inside] = np.abs(np.interp(at[inside], lags, chi))
     return out
 
 
@@ -420,7 +470,14 @@ def ambiguity_numeric(
     etas,
     c: float = DEFAULT_SOUND_SPEED,
 ) -> AmbiguitySurface:
-    """Numeric broadband ambiguity surface (frequency-domain kernel)."""
+    """Numeric broadband ambiguity surface (frequency-domain kernel).
+
+    Rows outside the Doppler bounds are zeroed first.  Of the rest, a row
+    eta_b < 1 whose reciprocal is another row eta_a (to 2 ulp) is read from
+    that row's transform at -tau / eta_a, so a grid symmetric in velocity
+    costs about half per non-unit row; a grid symmetric in eta, such as
+    0.99:1.01, holds no such pair.
+    """
     _check_sound_speed(c)
     delays = _finite_grid(delays, "delays")
     etas = _finite_grid(etas, "Doppler scales")
@@ -527,19 +584,11 @@ def _closed_af_points(
     etas = np.array(etas, dtype=float).ravel()
     if not np.all(etas > 0):
         raise ParameterError("Doppler scales eta must be positive")
-    # Fold each row eta_b < 1 whose reciprocal is within 2 ulp of a row
-    # eta_a > 1 onto that row: |chi(tau, eta_b)| = |chi(-tau / eta_a, eta_a)|.
-    hi = np.unique(etas[etas > 1])
-    lo = np.nonzero(etas < 1)[0]
-    if len(hi) and len(lo):
-        recip = 1.0 / etas[lo]
-        j = np.searchsorted(hi, recip)
-        below, above = hi[np.maximum(j - 1, 0)], hi[np.minimum(j, len(hi) - 1)]
-        partner = np.where(recip - below <= above - recip, below, above)
-        pair = np.abs(recip - partner) <= 2 * np.spacing(partner)
-        lo, partner = lo[pair], partner[pair]
-        taus[lo] = -taus[lo] / partner
-        etas[lo] = partner
+    # Fold each point on a row eta_b < 1 with a reciprocal partner eta_a:
+    # |chi(tau, eta_b)| = |chi(-tau / eta_a, eta_a)|.
+    folded, partner = _reciprocal_partners(etas)
+    taus[folded] = -taus[folded] / etas[partner]
+    etas[folded] = etas[partner]
     c = gbf_coeffs(betas)
     # The kernel needs consecutive orders: keep the range from the first to
     # the last kept order, with weight 0 on the pruned orders inside it.

@@ -34,6 +34,48 @@ CW = WaveformSpec(family="cw", T=T, f_c=FC)
 LFM = WaveformSpec(family="lfm", T=T, f_c=FC, delta_f=DF)
 
 
+class TestReciprocalPartners:
+    """The one pairing rule of both AF paths: a row eta_b < 1 is read from
+    the first row eta_a > 1 within 2 ulp of its reciprocal."""
+
+    @staticmethod
+    def pairs(etas):
+        folded, partner = ambiguity._reciprocal_partners(np.array(etas))
+        return list(zip(folded.tolist(), partner.tolist()))
+
+    def test_no_pair_without_both_sides(self):
+        assert self.pairs([0.8, 0.9, 1.0]) == []
+        assert self.pairs([1.0, 1.1, 1.25]) == []
+        assert self.pairs([1.0]) == []
+        assert self.pairs([0.8, 1.0, 1.2]) == []
+
+    def test_velocity_symmetric_grid(self):
+        etas = [doppler_eta(v) for v in np.linspace(-20.0, 20.0, 5)]
+        assert self.pairs(etas) == [(0, 4), (1, 3)]
+
+    def test_duplicated_rows_read_the_first_partner(self):
+        assert self.pairs([0.8, 1.25, 1.0, 1.25, 0.8]) == [(0, 1), (4, 1)]
+
+    @pytest.mark.parametrize("v", [2.5, 6.5, 7.5, 25.0])
+    def test_one_ulp_speeds_pair(self, v):
+        # 1 / doppler_eta(-v) is 1 ulp off doppler_eta(v) at these speeds.
+        lo, hi = doppler_eta(-v), doppler_eta(v)
+        assert abs(1.0 / lo - hi) == np.spacing(hi)
+        assert self.pairs([lo, hi]) == [(0, 1)]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_two_ulp_pairs_three_do_not(self, sign):
+        ulp = np.spacing(1.25)
+        assert 1.0 / 0.8 == 1.25
+        assert self.pairs([0.8, 1.25 + sign * 2 * ulp]) == [(0, 1)]
+        assert self.pairs([0.8, 1.25 + sign * 3 * ulp]) == []
+
+    def test_nearest_partner_wins(self):
+        ulp = np.spacing(1.25)
+        etas = [1.25 + 2 * ulp, 0.8, 1.25 - ulp]
+        assert self.pairs(etas) == [(1, 2)]
+
+
 class TestDopplerEta:
     def test_values(self):
         assert doppler_eta(0.0) == 1.0
@@ -122,6 +164,19 @@ class TestNumericSurface:
         surf = ambiguity_numeric(sig, np.array([0.0]), np.array([1.0, 3.0]))
         assert surf.values[1, 0] == 0.0
         assert any("eta=3.0" in w for w in surf.warnings)
+
+    def test_out_of_bounds_rows_are_zeroed_before_pairing(self):
+        # 0.4 and 2.5 are a reciprocal pair outside (0.5, 2): both rows are
+        # zeroed, and the rows inside are those of a grid without them, so
+        # 0.8 is still read from 1.25.
+        sig = generate(LFM)
+        taus = np.linspace(-T / 2, T / 2, 11)
+        surf = ambiguity_numeric(sig, taus, np.array([0.4, 0.8, 1.0, 1.25,
+                                                      2.5]))
+        inner = ambiguity_numeric(sig, taus, np.array([0.8, 1.0, 1.25]))
+        assert np.all(surf.values[[0, 4]] == 0.0)
+        assert sum("outside Doppler bounds" in w for w in surf.warnings) == 2
+        np.testing.assert_array_equal(surf.values[1:4], inner.values)
 
     def test_nonpositive_eta_rejected(self):
         # As on the closed path; eta = -1 used to write a velocity of -inf.

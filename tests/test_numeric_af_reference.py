@@ -13,13 +13,18 @@ rectangular sfm and even gsfm specs, keep a far-off delay from growing
 its FFT, and give zero rows where there is nothing to correlate.
 
 ``_af_rows`` and ``_czt`` below are the frequency-domain kernel before its
-arrays moved into one workspace per call; the kernel must reproduce them to
-1e-12 of the peak through ``ambiguity_numeric`` and ``acf`` on specs like
-the benchmark's af-numeric pool.
+arrays moved into one workspace per call and before a row eta_b < 1 was
+read from its reciprocal partner eta_a.  The kernel must reproduce them
+to 1e-12 of the peak through ``ambiguity_numeric`` on specs like the
+benchmark's af-numeric pool, each folded row against the former kernel's
+eta_a row read at -tau / eta_a, and bit for bit through ``acf``.  Folded
+rows must also stay within 1e-3 of |chi(0, 1)| of the former kernel's own
+eta_b rows.
 """
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +53,10 @@ RTOL = 1e-3
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
-    """exp(1j * phase) for real ``phase``, at half the cost of np.exp."""
+    """exp(1j * phase) for real ``phase``, as cos + 1j sin.
+
+    Its values are np.exp(1j * phase)'s and it costs about the same.
+    """
     out = np.empty(phase.shape, dtype=np.complex128)
     out.real = np.cos(phase)
     out.imag = np.sin(phase)
@@ -149,6 +157,12 @@ def _af_rows(
     return out
 
 
+def _load(spec_dir, name):
+    return WaveformSpec.from_dict(
+        json.loads((spec_dir / f"{name}.json").read_text())
+    )
+
+
 def _pool_specs():
     """Specs like the benchmark's af-numeric pool: 2 kHz, T = 0.5 s,
     rectangular sfm and even gsfm over the spec corpus's ranges, a Costas
@@ -182,15 +196,100 @@ def test_workspace_kernel_matches_former_kernel(spec):
     sig = generate(spec)
     T = spec.T
     taus = np.linspace(-T / 2, T / 2, 21)
+    # Rows -20 and -10 m/s are read from the 20 and 10 m/s rows.
     etas = np.array([doppler_eta(v) for v in np.linspace(-20.0, 20.0, 5)])
-    mag = _af_rows(sig, taus, etas)
+    mag = _read_folded(sig, taus, etas, [(0, 4), (1, 3)])
     ref = mag**2 / np.max(mag**2)
     assert np.max(np.abs(ambiguity_numeric(sig, taus, etas).values - ref)) \
         <= 1e-12
     # acf interpolates the eta = 1 row's |chi|, here on a finer grid.
     fine = np.linspace(-T, T, 801)
     cut = _af_rows(sig, fine, np.ones(1))[0]
-    assert np.max(np.abs(acf(sig, fine).values - cut / cut.max())) <= 1e-12
+    np.testing.assert_array_equal(acf(sig, fine).values, cut / cut.max())
+
+
+def _read_folded(sig, taus, etas, pairs):
+    """The former kernel's |chi| on (taus x etas), with each row b of the
+    (b, a) ``pairs`` read from row a at -taus / etas[a].
+
+    The extra delays lie inside the span of ``taus``, so the former kernel
+    keeps the lag window and FFT length of ``taus`` alone.
+    """
+    at = [-taus / etas[a] for _, a in pairs]
+    assert all(x.min() >= taus.min() and x.max() <= taus.max() for x in at)
+    mag = _af_rows(sig, np.concatenate([taus, *at]), etas)
+    n = len(taus)
+    out = mag[:, :n]
+    for k, (b, a) in enumerate(pairs, start=1):
+        out[b] = mag[a, k * n : (k + 1) * n]
+    return out
+
+
+_README = ("fig5_sfm", "fig6_gsfm", "fig2_costas")
+
+
+@pytest.mark.parametrize("n_tau, n_eta", [(21, 5), (101, 101)])
+@pytest.mark.parametrize(
+    "spec",
+    _pool_specs() + [_load(Path(__file__).resolve().parents[1] / "specs", n)
+                     for n in _README],
+    ids=[f"{s.family}-{i}" for i, s in enumerate(_pool_specs())]
+    + list(_README),
+)
+def test_folded_rows_match_direct_rows(spec, n_tau, n_eta):
+    # The af-numeric and criterion 4 grids: every row below eta = 1 is read
+    # from its +v partner, within 1e-3 of |chi(0, 1)| of its own transform.
+    sig = generate(spec)
+    taus = np.linspace(-spec.T / 2, spec.T / 2, n_tau)
+    etas = np.array([doppler_eta(v)
+                     for v in np.linspace(-20.0, 20.0, n_eta)])
+    folded, partner = ambiguity._reciprocal_partners(etas)
+    np.testing.assert_array_equal(folded, np.arange(n_eta // 2))
+    np.testing.assert_array_equal(partner, n_eta - 1 - folded)
+    new = ambiguity._af_rows(sig, taus, etas)
+    ref = _af_rows(sig, taus, etas)
+    assert np.max(np.abs(new[folded] - ref[folded])) <= RTOL * sig.energy
+    unfolded = np.arange(n_eta // 2, n_eta)
+    assert np.max(np.abs(new[unfolded] - ref[unfolded])) \
+        <= 1e-12 * sig.energy
+
+
+_ULP = float(np.spacing(1.25))  # 1 / 0.8 == 1.25 exactly
+
+
+@pytest.mark.parametrize("etas, pairs", [
+    ([0.8, 0.9, 1.0], []),                            # no row above 1
+    ([0.8, 1.0], []),                                 # one side only
+    ([0.8, 1.25, 1.0, 1.25, 0.8], [(0, 1), (4, 1)]),  # duplicated rows
+    ([0.8, 1.0, 1.25 + 2 * _ULP], [(0, 2)]),          # 2 ulp: folds
+    ([0.8, 1.0, 1.25 + 3 * _ULP], []),                # 3 ulp: does not
+], ids=["below-only", "one-side", "duplicates", "2-ulp", "3-ulp"])
+def test_grid_shapes_fold_as_paired(etas, pairs):
+    # Each folded row is the former kernel's partner row at -tau / eta_a,
+    # every other row the former kernel's own, both to 1e-12.
+    sig = generate(_pool_specs()[8])
+    taus = np.linspace(-0.25, 0.25, 21)
+    etas = np.array(etas)
+    new = ambiguity._af_rows(sig, taus, etas)
+    ref = _read_folded(sig, taus, etas, pairs)
+    assert np.max(np.abs(new - ref)) <= 1e-12 * sig.energy
+
+
+@pytest.mark.parametrize("spec", [_pool_specs()[i] for i in (0, 4, 8, 11)],
+                         ids=["sfm-0", "gsfm-4", "costas-8", "bpsk-11"])
+def test_fold_on_one_sided_and_far_delays(spec):
+    # A one-sided grid puts the folded points -tau / eta_a outside every
+    # row's own lag window, which widens to hold them; a delay beyond the
+    # support stays zero in both rows of a pair.
+    sig = generate(spec)
+    T = spec.T
+    etas = np.array([doppler_eta(v) for v in np.linspace(-20.0, 20.0, 5)])
+    for taus in (np.linspace(0.1 * T, 0.9 * T, 50),
+                 np.array([-0.3 * T, 0.0, 3.0 * T])):
+        new = ambiguity._af_rows(sig, taus, etas)
+        ref = _af_rows(sig, taus, etas)
+        assert np.max(np.abs(new - ref)) <= RTOL * sig.energy
+    assert np.all(new[:, 2] == 0.0)
 
 
 def _resample_af_row(sig, eta, delays):
@@ -203,12 +302,6 @@ def _resample_af_row(sig, eta, delays):
     taus = d / fs + sig.t0 * (1.0 / eta - 1.0)
     mag = np.abs(r) * np.sqrt(eta) / fs
     return np.interp(delays, taus[::-1], mag[::-1], left=0.0, right=0.0)
-
-
-def _load(spec_dir, name):
-    return WaveformSpec.from_dict(
-        json.loads((spec_dir / f"{name}.json").read_text())
-    )
 
 
 def _grids(T):

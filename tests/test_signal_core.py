@@ -15,7 +15,8 @@ from sonarwave.signal_core import (
     resample_scale,
     spectrum_of,
 )
-from sonarwave.waveforms import WaveformSpec, generate
+from sonarwave.ambiguity import doppler_eta
+from sonarwave.waveforms import WaveformSpec, generate, m_sequence
 
 
 def cw_signal(f_c=2000.0, T=0.5, fs=16000.0):
@@ -119,6 +120,52 @@ class TestTaper:
 # resample_scale
 # ----------------------------------------------------------------------
 
+def _former_resample_scale(sig: SampledSignal, eta: float) -> SampledSignal:
+    """The resampler before its Kaiser window's I0 was evaluated inline:
+    np.i0 per block, divided by np.i0(beta), under a support mask."""
+    beta, taps, block = 7.857, 32, 256
+    if eta == 1.0:
+        return sig
+    fs = sig.sample_rate
+    n_in = len(sig.samples)
+    n_out = int(round(n_in / eta))
+    half = taps // 2
+    offsets = np.arange(-half + 1, half + 1)
+    cutoff = min(1.0, 1.0 / eta)
+    padded = np.zeros(n_in + 2 * taps, dtype=np.complex128)
+    padded[taps : taps + n_in] = sig.samples
+    out = np.empty(n_out, dtype=np.complex128)
+    for lo in range(0, n_out, block):
+        p = (np.arange(lo, min(lo + block, n_out)) + 0.5) * eta - 0.5
+        base = np.floor(p).astype(int)
+        frac = p - base
+        x = offsets[None, :] - frac[:, None]
+        kern = cutoff * np.sinc(cutoff * x)
+        win_arg = x / half
+        win = np.where(
+            np.abs(win_arg) <= 1.0,
+            np.i0(beta * np.sqrt(np.maximum(0.0, 1.0 - win_arg**2)))
+            / np.i0(beta),
+            0.0,
+        )
+        kern *= win
+        gathered = padded[base[:, None] + offsets[None, :] + taps]
+        out[lo : lo + block] = np.sum(gathered * kern, axis=1)
+    return SampledSignal(samples=out, sample_rate=fs, t0=sig.t0 / eta,
+                         energy_normalized=False)
+
+
+# Like the benchmark's af-numeric pool: 2 kHz, T = 0.5 s.
+_ORACLE_SPECS = [
+    WaveformSpec(family="sfm", T=0.5, f_c=2000.0, delta_f=420.0, f_m=10.0),
+    WaveformSpec(family="gsfm", T=0.5, f_c=2000.0, delta_f=310.0, rho=2.2,
+                 cycles=11.0, symmetry="even"),
+    WaveformSpec(family="costas", T=0.5, f_c=2000.0, delta_f=400.0,
+                 n_chips=16, taper=Taper("tukey", 0.4)),
+    WaveformSpec(family="bpsk", T=0.5, f_c=2000.0, code=m_sequence(8)),
+]
+
+
 class TestResampleScale:
     def test_identity_scale(self):
         sig = cw_signal()
@@ -165,6 +212,32 @@ class TestResampleScale:
         sig = SampledSignal(sig.samples, sig.sample_rate, t0=-0.25)
         out = resample_scale(sig, 1.25)
         assert out.t0 == pytest.approx(-0.25 / 1.25)
+
+    @pytest.mark.parametrize("spec", _ORACLE_SPECS,
+                             ids=[s.family for s in _ORACLE_SPECS])
+    def test_bit_identical_to_former_function(self, spec):
+        sig = generate(spec)
+        for v in (-20.0, -10.0, 10.0, 20.0):
+            eta = doppler_eta(v)
+            np.testing.assert_array_equal(
+                resample_scale(sig, eta).samples,
+                _former_resample_scale(sig, eta).samples)
+
+    @pytest.mark.parametrize("eta", [0.5001, 1.9999, 0.6])
+    def test_bit_identical_at_the_edges(self, eta):
+        sig = generate(_ORACLE_SPECS[2])
+        new = resample_scale(sig, eta)
+        old = _former_resample_scale(sig, eta)
+        np.testing.assert_array_equal(new.samples, old.samples)
+        assert new.t0 == old.t0
+
+    def test_edge_case_eta_hits_input_samples(self):
+        # At eta = 0.6 a fifth of the output samples land exactly on an
+        # input sample (frac == 0, the sinc's zero branch), so the case
+        # above covers that branch.
+        n_out = round(len(generate(_ORACLE_SPECS[2])) / 0.6)
+        p = (np.arange(n_out) + 0.5) * 0.6 - 0.5
+        assert np.mean(p == np.floor(p)) == pytest.approx(0.2, abs=0.01)
 
     @pytest.mark.parametrize("eta", [0.7, 1.013, 1.9])
     def test_blocks_match_one_pass(self, eta, monkeypatch):
