@@ -335,9 +335,11 @@ def _af_rows(
     |chi(tau, eta_b)| = |chi(-tau / eta_a, eta_a)|, it reads eta_a's
     demodulated chi at -tau / eta_a, inside eta_a's support.  A grid
     symmetric in velocity thus takes one chirp-z transform and one FFT per
-    +-v pair of rows.  The lag window and the FFT length are sized over
-    every row's own delays, as without the fold, and widened only where a
-    folded point falls outside that window (a one-sided delay grid).
+    +-v pair of rows.  A row equal to an earlier computed row copies that
+    row's result, and a folded row reads the first of equal partners.  The
+    lag window and the FFT length are sized over every row's own delays,
+    as without the fold, and widened only where a folded point falls
+    outside that window (a one-sided delay grid).
 
     Every array as long as the FFT grid, a chirp-z transform or the lag
     window lives in one workspace, allocated once per call before the row
@@ -413,9 +415,14 @@ def _af_rows(
     for b, i in zip(folded.tolist(), a.tolist()):
         readers.setdefault(i, []).append(b)
     skip = set(folded.tolist())
+    first_of = {}
     for i, eta in enumerate(etas):
         if i in skip:
             continue
+        if eta in first_of:
+            out[i] = out[first_of[eta]]
+            continue
+        first_of[eta] = i
         if eta == 1.0:
             row[:nfft] = power
         else:

@@ -5,6 +5,11 @@ Subcommands: ``gen`` (sampled signal), ``metrics`` (scalar report JSON),
 surface CSV/binary), ``compare`` (SE-vs-PAPR sweep table), ``trw``
 (transmit-chain energy-efficiency report).  Exit codes: 0 success,
 1 validation/parameter error, 2 internal numeric failure.
+
+Only the standard library loads at import: each handler imports the modules
+it runs, so ``--help`` or a usage error loads no numpy, and ``gen`` loads no
+AF, analysis or transducer code.  :func:`main` also lets an idle OpenBLAS
+worker thread sleep at once in a CLI process (see there).
 """
 
 from __future__ import annotations
@@ -13,25 +18,22 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from . import ambiguity, analysis, transducer
-from .signal_core import (
-    ParameterError,
-    SampledSignal,
-    _is_number,
-    _json_object,
-    _write_columns,
-    _write_text,
-    spectrum_of,
-)
-from .waveforms import WaveformSpec, generate
+    from .signal_core import SampledSignal
+    from .transducer import TransducerResponse
+    from .waveforms import WaveformSpec
 
 
 def _read_json(path, what: str):
+    from .signal_core import ParameterError
+
     try:
         with open(path) as fh:
             return json.load(fh)
@@ -40,11 +42,15 @@ def _read_json(path, what: str):
 
 
 def _load_spec(path) -> WaveformSpec:
+    from .waveforms import WaveformSpec
+
     return WaveformSpec.from_dict(_read_json(path, "spec file"))
 
 
 def _collect_specs(paths) -> list[tuple[str, WaveformSpec]]:
     """Expand files and directories into (label, spec) pairs."""
+    from .signal_core import ParameterError
+
     out = []
     for p in paths:
         p = Path(p)
@@ -66,6 +72,10 @@ _GRID_MAX = 1 << 20
 
 def _parse_grid(text: str) -> np.ndarray:
     """Grid syntax: comma-separated values, or ``lo:hi:count``."""
+    import numpy as np
+
+    from .signal_core import ParameterError
+
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ParameterError(
@@ -90,16 +100,22 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def write_signal_csv(sig: SampledSignal, path) -> None:
+    from .signal_core import _write_columns
+
     _write_columns(path, "t,re,im",
                    [sig.times, sig.samples.real, sig.samples.imag], "\r\n")
 
 
 def _json_dump(obj, path) -> None:
+    from .signal_core import _write_text
+
     _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _write_rows(rows: list[dict], fields: list[str], fmt: str, path) -> None:
     """Report rows as JSON, or as CSV with ``fields`` and quoted cells."""
+    from .signal_core import _write_text
+
     if fmt == "json":
         _json_dump(rows, path)
         return
@@ -115,12 +131,16 @@ def _write_rows(rows: list[dict], fields: list[str], fmt: str, path) -> None:
 # ----------------------------------------------------------------------
 
 def _cmd_gen(args) -> int:
+    from .waveforms import generate
+
     sig = generate(_load_spec(args.spec))
     write_signal_csv(sig, args.out)
     return 0
 
 
 def _cmd_metrics(args) -> int:
+    from . import analysis
+
     spec = _load_spec(args.spec)
     report = analysis.metrics_report(spec, band_hz=args.band)
     _json_dump(json.loads(report.to_json()), args.out)
@@ -128,6 +148,17 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    import numpy as np
+
+    from . import analysis
+    from .signal_core import (
+        ParameterError,
+        _is_number,
+        _write_columns,
+        spectrum_of,
+    )
+    from .waveforms import generate
+
     for flag, value in (("--fmin", args.fmin), ("--fmax", args.fmax)):
         if value is not None and not _is_number(value):
             raise ParameterError(
@@ -154,13 +185,17 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_af(args) -> int:
+    from . import ambiguity
+    from .waveforms import generate
+
     spec = _load_spec(args.spec)
     taus = _parse_grid(args.taus)
     etas = _parse_grid(args.etas)
+    c = ambiguity.DEFAULT_SOUND_SPEED if args.c is None else args.c
     if args.closed:
-        surf = ambiguity.closed_af_surface(spec, taus, etas, c=args.c)
+        surf = ambiguity.closed_af_surface(spec, taus, etas, c=c)
     else:
-        surf = ambiguity.ambiguity_numeric(generate(spec), taus, etas, c=args.c)
+        surf = ambiguity.ambiguity_numeric(generate(spec), taus, etas, c=c)
     for note in surf.warnings:
         sys.stderr.write(f"warning: {note}\n")
     if args.format == "f32bin":
@@ -171,6 +206,9 @@ def _cmd_af(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from . import analysis
+    from .signal_core import ParameterError
+
     specs = _collect_specs(args.specs)
     try:
         band = None if args.band == "auto" else float(args.band)
@@ -184,7 +222,10 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _load_response(path) -> transducer.TransducerResponse:
+def _load_response(path) -> TransducerResponse:
+    from . import transducer
+    from .signal_core import _json_object
+
     cfg = _json_object(_read_json(path, "response config"), "response config",
                        ("mode", "f_r", "band", "ripple_db", "table_path",
                         "equalize_to"), required=("f_r", "band"))
@@ -201,6 +242,8 @@ def _load_response(path) -> transducer.TransducerResponse:
 
 
 def _cmd_trw(args) -> int:
+    from . import transducer
+
     specs = _collect_specs(args.specs)
     resp = _load_response(args.response)
     rows = transducer.trw_report(specs, resp, args.reference)
@@ -210,11 +253,11 @@ def _cmd_trw(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors end as :class:`ParameterError`, like every bad input."""
+    """Usage errors print like every bad input and exit 1."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ParameterError(f"{self.prog}: {message}")
+        self.exit(1, f"error: {self.prog}: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -254,7 +297,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="Doppler-scale grid: 'lo:hi:count' or comma-separated")
     a.add_argument("--closed", action="store_true",
                    help="use the Bessel-series closed form (sfm/gsfm only)")
-    a.add_argument("--c", type=float, default=ambiguity.DEFAULT_SOUND_SPEED)
+    # None: ambiguity.DEFAULT_SOUND_SPEED, read in _cmd_af.
+    a.add_argument("--c", type=float, default=None)
     a.add_argument("--format", choices=["csv", "f32bin"], default="csv")
     a.add_argument("--out", required=True)
     a.set_defaults(handler=_cmd_af)
@@ -284,9 +328,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
-    except SystemExit as exc:  # --help
+    except SystemExit as exc:  # --help, or a usage error
         return 1 if exc.code not in (0, None) else 0
+    # Only a parsed call loads numpy: --help and usage errors do not.
+    import numpy as np
+
+    from .signal_core import ParameterError
+
+    try:
+        return args.handler(args)
     except ParameterError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -296,6 +346,19 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    """The console entry point: :func:`run` on ``sys.argv``, then exit.
+
+    numpy's OpenBLAS starts its worker threads when it loads, and an idle
+    worker spins for 2^28 cycles (OPENBLAS_THREAD_TIMEOUT's default of 28)
+    before it sleeps: with two threads, ``import numpy`` alone takes 0.04
+    to 0.08 CPU s more than at 4 (2-vCPU x86-64, numpy 2.4).  4, the
+    smallest value OpenBLAS takes, lets a worker sleep after 2^4 cycles;
+    the thread count is left alone.  It must be set before numpy loads,
+    which this module's imports do not do, and a value the caller has set
+    wins.  :func:`run` leaves the environment alone, so in-process callers
+    and their child processes see no change.
+    """
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     sys.exit(run())
 
 

@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -177,6 +178,26 @@ class TestNumericSurface:
         assert np.all(surf.values[[0, 4]] == 0.0)
         assert sum("outside Doppler bounds" in w for w in surf.warnings) == 2
         np.testing.assert_array_equal(surf.values[1:4], inner.values)
+
+    def test_repeated_rows_take_one_transform(self):
+        # 1.25 appears twice and both 0.8 rows fold onto it: one chirp-z
+        # transform, and the rows of the grid of distinct values bit for
+        # bit (same extremes, so same lag window and FFT length).
+        sig = generate(LFM)
+        taus = np.linspace(-T / 2, T / 2, 21)
+        etas = np.array([0.8, 1.25, 1.0, 1.25, 0.8])
+        with mock.patch.object(ambiguity, "_czt",
+                               wraps=ambiguity._czt) as czt:
+            rows = _af_rows(sig, taus, etas)
+        assert czt.call_count == 1
+        distinct = _af_rows(sig, taus, np.array([0.8, 1.25, 1.0]))
+        np.testing.assert_array_equal(rows, distinct[[0, 1, 2, 1, 0]])
+        # A repeated eta = 1 row and a repeated row with no partner too.
+        etas = np.array([1.0, 0.9, 1.0, 0.9])
+        rows = _af_rows(sig, taus, etas)
+        np.testing.assert_array_equal(rows, rows[[0, 1, 0, 1]])
+        distinct = _af_rows(sig, taus, np.array([1.0, 0.9]))
+        np.testing.assert_array_equal(rows[:2], distinct)
 
     def test_nonpositive_eta_rejected(self):
         # As on the closed path; eta = -1 used to write a velocity of -inf.

@@ -15,6 +15,10 @@ equal its rows taken one per call bit for bit.  Grids with the pair
 eta(v), eta(-v) check the fold of one row onto the other against the
 reference and against one row per call, and the reference itself is
 checked for the identity the fold rests on.
+
+The reference takes its sinc from ``_sinc_in_place``, np.sinc's operations
+in np.sinc's order written over the tensor, which is checked bit for bit
+against np.sinc on the reference's own tensors.
 """
 
 import json
@@ -31,6 +35,17 @@ from sonarwave.gbf import _coeffs_fft, gbf_coeffs
 from sonarwave.waveforms import WaveformSpec, harmonic_series
 
 RTOL = 1e-10
+
+
+def _sinc_in_place(y):
+    """np.sinc(y), written over ``y``.
+
+    np.sinc(x) takes y = pi x, puts eps where y is 0, and returns
+    sin(y) / y; so does this, without a new array for each step.
+    """
+    y *= np.pi
+    y[y == 0] = np.finfo(y.dtype).eps
+    return np.divide(np.sin(y), y, out=y)
 
 
 def _tensor_af_points(betas, f0, fc_eff, ta, tb, taus, etas):
@@ -68,7 +83,7 @@ def _tensor_af_points(betas, f0, fc_eff, ta, tb, taus, etas):
         base = np.exp(2j * np.pi * fc_eff * (1.0 - eta) * cen)
         a = g1[None, :] * np.exp(2j * np.pi * f0 * np.outer(cen, n_ord))
         b = g2 * np.exp(-2j * np.pi * f0 * eta * np.outer(cen, m_ord))
-        sinc = np.sinc(mu[None, :, :] * length[rows, None, None])
+        sinc = _sinc_in_place(mu[None, :, :] * length[rows, None, None])
         chi = np.einsum("pn,pm,pnm->p", a, b, sinc) * (
             base * length[rows] / T
         )
@@ -145,6 +160,30 @@ def _assert_reference_is_reciprocal(spec, v):
     ref = _tensor_af_points(*args, tt, ee)
     mirror = _tensor_af_points(*args, -ee * tt, 1.0 / ee)
     assert np.max(np.abs(mirror - ref)) <= RTOL * ref.max()
+
+
+def test_in_place_sinc_is_np_sinc(spec_dir):
+    # On the tensors of the README specs and of a gsfm at the top of the
+    # drawn ranges, the eta = 1 row's zero arguments included.
+    zeros = []
+
+    def checked(y, in_place=_sinc_in_place):
+        ref = np.sinc(y)
+        zeros.append(np.count_nonzero(y == 0))
+        got = in_place(y)
+        assert np.array_equal(got, ref)
+        return got
+
+    specs = [_readme_spec(spec_dir, name) for name in ("fig5_sfm",
+                                                       "fig6_gsfm")]
+    specs.append(WaveformSpec(family="gsfm", T=0.5, f_c=20000.0,
+                              delta_f=200.0, rho=2.6, cycles=10.0))
+    with mock.patch.dict(globals(), {"_sinc_in_place": checked}):
+        for spec in specs:
+            tt, ee = (a.ravel() for a in np.meshgrid(*_grid(spec.T, 25.0)))
+            _tensor_af_points(*harmonic_series(spec), tt, ee)
+    # Rows eta < 1, eta = 1 and eta > 1 for each spec.
+    assert len(zeros) == 9 and min(zeros[1::3]) > 0
 
 
 def _readme_spec(spec_dir, name):

@@ -7,6 +7,13 @@ against ``scipy.integrate.cumulative_simpson``, and the FFT-mask analytic
 signal of ``apply_response`` against ``scipy.signal.hilbert``.  Fresh
 interpreters then show that importing the package or the CLI loads no
 scipy, and that the README CLI calls run with scipy blocked.
+
+They also show what a CLI process pays for: importing the package or the
+CLI loads no numpy, each public name loads its submodule on first use,
+``--help`` and usage errors load no numpy, and ``gen`` loads no AF,
+analysis or transducer code.  ``main`` sets OPENBLAS_THREAD_TIMEOUT
+before numpy loads, unless it is set already; ``run`` leaves the
+environment alone.
 """
 
 import json
@@ -184,3 +191,121 @@ def test_readme_cli_calls_run_without_scipy(tmp_path):
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == [0] * len(calls), res.stderr
     assert len(list(tmp_path.iterdir())) == len(calls)
+
+
+@pytest.mark.parametrize("module", ["sonarwave", "sonarwave.cli"])
+def test_import_leaves_numpy_out(module):
+    res = _python(f"import sys, {module}; print('numpy' in sys.modules)")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+_LAZY = """
+import importlib, json, sys
+import sonarwave
+star = {}
+exec("from sonarwave import *", star)
+star.pop("__builtins__")
+named = sonarwave.__all__
+defined = [n for n in named if getattr(sonarwave, n) is not getattr(
+    importlib.import_module(getattr(sonarwave, n).__module__), n)]
+subs = ["ambiguity", "analysis", "cli", "gbf", "signal_core", "transducer",
+        "waveforms"]
+try:
+    sonarwave.no_such_name
+    unknown = "no error"
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "star": sorted(star) == sorted(named),
+    "not_defined_there": defined,
+    "submodules": [getattr(sonarwave, m) is sys.modules["sonarwave." + m]
+                   for m in subs],
+    "dir": sorted(set(named + subs) - set(dir(sonarwave))),
+    "unknown": unknown,
+}))
+"""
+
+
+def test_names_load_their_submodules():
+    res = _python(_LAZY)
+    assert res.returncode == 0, res.stderr
+    got = json.loads(res.stdout)
+    assert got["star"]
+    assert got["not_defined_there"] == []
+    assert got["submodules"] == [True] * 7
+    assert got["dir"] == []
+    assert got["unknown"] == \
+        "module 'sonarwave' has no attribute 'no_such_name'"
+
+
+# Records OPENBLAS_THREAD_TIMEOUT at the first import of numpy during a
+# ``gen`` call through ``main``; argv[1] presets it, or unsets it if empty.
+_MAIN = """
+import json, os, sys
+os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
+if sys.argv[1]:
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = sys.argv[1]
+seen = []
+
+class Watch:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+
+sys.meta_path.insert(0, Watch())
+from sonarwave.cli import main
+sys.argv = ["sonarwave", "gen", "--spec", "specs/fig6_gsfm.json",
+            "--out", sys.argv[2]]
+try:
+    main()
+except SystemExit as exc:
+    print(json.dumps([exc.code, seen[:1]]))
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [("", "4"), ("8", "8")])
+def test_main_sets_thread_timeout_before_numpy(tmp_path, preset, expected):
+    res = _python(_MAIN, preset, str(tmp_path / "g.csv"))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [0, [expected]]
+
+
+_RUN = """
+import json, os, sys
+out = sys.argv[1]
+os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
+before = dict(os.environ)
+from sonarwave.cli import main, run
+codes = []
+for argv in (["--help"], ["gen"]):
+    sys.argv = ["sonarwave", *argv]
+    try:
+        main()
+    except SystemExit as exc:
+        codes.append(exc.code)
+no_numpy = "numpy" not in sys.modules
+os.environ.pop("OPENBLAS_THREAD_TIMEOUT", None)
+code = run(["gen", "--spec", "specs/fig6_gsfm.json", "--out", out])
+print(json.dumps({
+    "codes": codes + [code],
+    "no_numpy": no_numpy,
+    "env_kept": dict(os.environ) == before,
+    "loaded": sorted(m for m in sys.modules if m.startswith("sonarwave.")),
+}))
+"""
+
+
+def test_run_loads_what_its_call_runs(tmp_path):
+    # --help exits 0 and a usage error 1, with no numpy loaded; then an
+    # in-process gen call leaves the environment as it found it and loads
+    # only the sampler and the writer.
+    res = _python(_RUN, str(tmp_path / "g.csv"))
+    assert res.returncode == 0, res.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["g.csv"]
+    got = json.loads(res.stdout.splitlines()[-1])
+    assert got == {
+        "codes": [0, 1, 0], "no_numpy": True, "env_kept": True,
+        "loaded": ["sonarwave.cli", "sonarwave.signal_core",
+                   "sonarwave.waveforms"],
+    }
