@@ -8,7 +8,9 @@ with Doppler scale eta = (1 + v/c)/(1 - v/c).  Numeric surfaces are computed
 in the frequency domain, chi = eta^-1/2 int S(f) conj(S(f/eta))
 exp(-2j pi f tau) df: the spectrum once by FFT, each row's scaled spectrum
 exactly by a chirp-z transform, and one FFT per row back to delay; a row
-whose reciprocal is another row reads that row's result.  The
+whose reciprocal is another row reads that row's result.  Every row, the
+zero-Doppler row of :func:`acf` too, is exact at the sample lags and
+interpolates chi demodulated by the spectral centroid between them.  The
 rectangular SFM and gsfm admit Bessel/generalized-Bessel series closed
 forms that this module evaluates through the same coefficient machinery.
 
@@ -108,7 +110,11 @@ class AmbiguityCut:
 
 @dataclass(frozen=True)
 class AmbiguitySurface:
-    """Peak-normalized |chi|^2 over a delay x Doppler-scale grid."""
+    """Peak-normalized |chi|^2 over a delay x Doppler-scale grid.
+
+    ``warnings`` says what the values cannot show, such as zeroed rows or
+    a grid that does not span the origin (0, 1).
+    """
 
     delays: np.ndarray
     dopplers: np.ndarray
@@ -323,12 +329,13 @@ def _af_rows(
     the time of the first one.  X is taken once by an FFT on the grid
     f_k = k df, k signed (|f| < fs/2, the samples' own band), whose delay
     period 1/df keeps every alias of the delay window off the support.
-    Each eta != 1 row takes X(f_k / eta) exactly by one chirp-z transform,
-    over the band holding all but ``_BAND_LOSS`` of the energy; the eta = 1
-    row uses |X|^2 on the whole grid, the exact discrete autocorrelation.
-    One FFT of the product gives chi at the sample lags, delayed by
-    a (1/eta - 1), which are interpolated onto ``delays``; cells outside a
-    row's support are zero.
+    Every row forms P_k = X_k conj(X(f_k / eta)): an eta != 1 row takes
+    X(f_k / eta) exactly by one chirp-z transform, over the band holding
+    all but ``_BAND_LOSS`` of the energy, and the eta = 1 row takes X
+    itself on the whole grid.  One FFT of P gives chi at the sample lags,
+    delayed by a (1/eta - 1); chi demodulated by the spectral centroid is
+    interpolated onto ``delays`` and only then taken in magnitude.  Cells
+    outside a row's support are zero.
 
     A row eta_b < 1 whose reciprocal is within 2 ulp of a row eta_a > 1
     (:func:`_reciprocal_partners`) takes no transform of its own: since
@@ -381,20 +388,19 @@ def _af_rows(
     size = max(nfft, count, _fast_len(n + nfft - 1) if scaled_rows else 0)
     span = max(count, max(n, nfft) if scaled_rows else 0)
     cplx = [nfft, size, size, size, span, count]
-    reals = [nfft, span, span, count]
+    reals = [span, span, count]
     work = np.empty(sum(cplx) + (sum(reals) + 1) // 2, dtype=np.complex128)
     x, row, spec, spare, chirp, demod = _carve(work, cplx)
-    power, ramp, real, lag_t = _carve(work[sum(cplx):].view(float), reals)
+    ramp, real, lag_t = _carve(work[sum(cplx):].view(float), reals)
     np.cumsum(np.broadcast_to(1.0, span), out=ramp)
     ramp -= 1.0
 
     np.fft.fft(sig.samples, nfft, out=x)
-    np.abs(x, out=power)
-    power *= power
-    # Signed bins k in [-half, nfft - half) holding all but _BAND_LOSS.
+    # |X|^2 on the signed bins k in [-half, nfft - half).
     shifted, cum = _carve(spec.view(float), [nfft, nfft])
-    shifted[:half] = power[nfft - half :]
-    shifted[half:] = power[: nfft - half]
+    np.abs(x[nfft - half :], out=shifted[:half])
+    np.abs(x[: nfft - half], out=shifted[half:])
+    shifted *= shifted
     np.cumsum(shifted, out=cum)
     out = np.zeros((len(etas), len(delays)))
     if cum[-1] == 0:
@@ -402,10 +408,11 @@ def _af_rows(
     k_lo, k_hi = np.searchsorted(
         cum, [0.5 * _BAND_LOSS * cum[-1], (1.0 - 0.5 * _BAND_LOSS) * cum[-1]]
     ) - half
-    # chi carries the carrier: near its nulls |chi| has kinks that linear
-    # interpolation misses, while chi shifted down by the spectral
-    # centroid is a smooth envelope.  Summed by parts, sum_k k |X_k|^2 =
-    # (nfft - half) E - sum(cum), so no BLAS call wakes a spinning thread.
+    # Every row's chi, the eta = 1 row's too, carries the carrier: near its
+    # nulls |chi| has kinks that linear interpolation misses, while chi
+    # shifted down by the spectral centroid is a smooth envelope.  Summed
+    # by parts, sum_k k |X_k|^2 = (nfft - half) E - sum(cum), so no BLAS
+    # call wakes a spinning thread.
     fbar = df * (nfft - half - np.sum(cum) / cum[-1])
     np.add(ramp[:count], l0, out=lag_t)
     np.multiply(lag_t, 2.0 * np.pi * fbar / fs, out=real[:count])
@@ -423,9 +430,8 @@ def _af_rows(
             out[i] = out[first_of[eta]]
             continue
         first_of[eta] = i
-        if eta == 1.0:
-            row[:nfft] = power
-        else:
+        k0, scaled = 0, x
+        if eta != 1.0:
             k0 = max(int(np.floor(eta * k_lo)), -half)
             k1 = min(int(np.ceil(eta * k_hi)), nfft - half - 1)
             scaled = spare[:0]
@@ -433,21 +439,16 @@ def _af_rows(
                 scaled = _czt(sig.samples, k0 * df / eta, df / eta,
                               k1 - k0 + 1, fs, ramp, real, chirp,
                               (spare, spec, row))
-            row[:nfft] = 0.0
-            for ring, run in _wrapped(nfft, k0, len(scaled)):
-                np.conjugate(scaled[run], out=row[ring])
-                row[ring] *= x[ring]
+        row[:nfft] = 0.0
+        for ring, run in _wrapped(nfft, k0, len(scaled)):
+            np.conjugate(scaled[run], out=row[ring])
+            row[ring] *= x[ring]
         np.fft.fft(row[:nfft], out=spec[:nfft])
         chi = spare[:count]
         for ring, run in _wrapped(nfft, l0, count):
             chi[run] = spec[ring]
         chi *= df / fs**2 / np.sqrt(eta)
-        # The eta = 1 row, acf, interpolates |chi| itself, so the cut stays
-        # the linear interpolation of the exact discrete autocorrelation.
-        if eta == 1.0:
-            chi = np.abs(chi, out=row.view(float)[:count])
-        else:
-            chi *= demod
+        chi *= demod
         lags = np.add(lag_t, shift[i], out=real[:count])
         for dst, at in [(i, delays)] + [(b, -delays / eta)
                                         for b in readers.get(i, ())]:
@@ -469,6 +470,24 @@ def _finite_grid(values, name: str) -> np.ndarray:
         raise ParameterError(f"{name} must be a non-empty 1-D grid of "
                              "finite numbers")
     return grid
+
+
+def _surface(delays, etas, mag, c, warnings=()) -> AmbiguitySurface:
+    """The surface of |chi| ``mag``, normalized to its largest cell.
+
+    That cell is the origin (0, 1) only on a grid whose delays span 0 and
+    whose Doppler scales span 1; on any other grid a warning says so.
+    """
+    values = mag**2
+    peak = values.max()
+    if peak > 0:
+        values = values / peak
+    if not (delays.min() <= 0.0 <= delays.max()
+            and etas.min() <= 1.0 <= etas.max()):
+        warnings = [*warnings, "grid does not span tau = 0, eta = 1; values "
+                    "are normalized to the grid's own maximum"]
+    return AmbiguitySurface(delays=delays, dopplers=etas, values=values, c=c,
+                            warnings=tuple(warnings))
 
 
 def ambiguity_numeric(
@@ -505,21 +524,16 @@ def ambiguity_numeric(
     mag = np.zeros((len(etas), len(delays)))
     if ok.any():
         mag[ok] = _af_rows(sig, delays, etas[ok])
-    values = mag**2
-    peak = values.max()
-    if peak > 0:
-        values = values / peak
-    return AmbiguitySurface(
-        delays=delays,
-        dopplers=etas,
-        values=values,
-        c=c,
-        warnings=tuple(warnings),
-    )
+    return _surface(delays, etas, mag, c, warnings)
 
 
 def acf(sig: SampledSignal, delays) -> AmbiguityCut:
-    """Zero-Doppler autocorrelation cut, peak-normalized magnitude."""
+    """Zero-Doppler autocorrelation cut, peak-normalized magnitude.
+
+    The cut is the eta = 1 row of :func:`ambiguity_numeric`'s kernel: the
+    exact discrete autocorrelation at the sample lags, and between them the
+    linear interpolation of chi demodulated by the spectral centroid.
+    """
     delays = _finite_grid(delays, "delays")
     mag = _af_rows(sig, delays, np.ones(1))[0]
     peak = mag.max()
@@ -724,11 +738,7 @@ def closed_af_surface(
     delays = _finite_grid(delays, "delays")
     etas = _finite_grid(etas, "Doppler scales")
     tt, ee = np.meshgrid(delays, etas)
-    values = _closed_af(spec, model, tt, ee) ** 2
-    peak = values.max()
-    if peak > 0:
-        values = values / peak
-    return AmbiguitySurface(delays=delays, dopplers=etas, values=values, c=c)
+    return _surface(delays, etas, _closed_af(spec, model, tt, ee), c)
 
 
 # ----------------------------------------------------------------------

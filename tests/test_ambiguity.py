@@ -236,6 +236,40 @@ class TestNumericSurface:
             )
 
 
+class TestOriginNormalization:
+    """Both AF paths normalize a surface to its largest cell, and warn when
+    the grid does not span the origin (0, 1), where that cell would be."""
+
+    SFM = WaveformSpec(family="sfm", T=T, f_c=FC, delta_f=DF, f_m=10.0)
+
+    def surfaces(self, delays, etas):
+        return (ambiguity_numeric(generate(self.SFM), delays, etas),
+                closed_af_surface(self.SFM, delays, etas))
+
+    @pytest.mark.parametrize("delays, etas", [
+        ([0.1, 0.2], [1.0]),          # delays all positive
+        ([-0.2, -0.1], [0.99, 1.0]),  # delays all negative
+        ([-0.1, 0.0, 0.1], [1.01]),   # Doppler scales above 1
+        ([0.0], [0.98, 0.99]),        # Doppler scales below 1
+    ])
+    def test_grid_off_the_origin_warns(self, delays, etas):
+        for surf in self.surfaces(np.array(delays), np.array(etas)):
+            assert surf.values.max() == 1.0
+            notes = [w for w in surf.warnings if "does not span" in w]
+            assert len(notes) == 1
+            assert "tau = 0, eta = 1" in notes[0]
+
+    @pytest.mark.parametrize("delays, etas", [
+        ([0.0], [1.0]),
+        ([-0.1, 0.1], [0.99, 1.01]),  # spans the origin without holding it
+        (np.linspace(-0.25, 0.25, 21), [doppler_eta(v) for v in
+                                        np.linspace(-20.0, 20.0, 5)]),
+    ])
+    def test_grid_spanning_the_origin_is_silent(self, delays, etas):
+        for surf in self.surfaces(np.array(delays), np.array(etas)):
+            assert surf.warnings == ()
+
+
 class TestBpskAcf:
     def test_psl_below_minus_15(self):
         sig = generate(

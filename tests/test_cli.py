@@ -171,6 +171,22 @@ class TestAf:
         np.testing.assert_array_equal(surf.delays, [0.0, 0.01, 0.05])
         np.testing.assert_array_equal(surf.dopplers, [0.999, 1.0, 1.002])
 
+    @pytest.mark.parametrize("closed", [[], ["--closed"]],
+                             ids=["numeric", "closed"])
+    def test_grid_off_the_origin_warns(self, spec_file, tmp_path, capsys,
+                                       closed):
+        # The surface is normalized to its own maximum, off the origin.
+        out = tmp_path / "af.csv"
+        assert run(["af", "--spec", spec_file(SFM), "--taus=0.01,0.02",
+                    "--etas", "1", *closed, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: ") == 1
+        assert "does not span tau = 0, eta = 1" in err
+        assert np.loadtxt(out, delimiter=",", skiprows=1)[:, 3].max() == 1.0
+        assert run(["af", "--spec", spec_file(SFM), "--taus=-0.01:0.01:3",
+                    "--etas", "1", *closed, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_closed_form_path(self, spec_file, tmp_path):
         out = tmp_path / "af.csv"
         assert run(

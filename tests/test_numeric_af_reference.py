@@ -14,15 +14,19 @@ its FFT, and give zero rows where there is nothing to correlate.
 
 ``_af_rows`` and ``_czt`` below are the frequency-domain kernel before its
 arrays moved into one workspace per call and before a row eta_b < 1 was
-read from its reciprocal partner eta_a.  The kernel must reproduce them
-to 1e-12 of the peak through ``ambiguity_numeric`` on specs like the
-benchmark's af-numeric pool, each folded row against the former kernel's
-eta_a row read at -tau / eta_a, and bit for bit through ``acf``.  Folded
-rows must also stay within 1e-3 of |chi(0, 1)| of the former kernel's own
-eta_b rows.
+read from its reciprocal partner eta_a, with the one row rule of today's
+kernel: every row, eta = 1 too, interpolates chi demodulated by the
+spectral centroid.  The kernel must reproduce them to 1e-12 of the peak
+through ``ambiguity_numeric`` and ``acf`` on specs like the benchmark's
+af-numeric pool, each folded row against the former kernel's eta_a row
+read at -tau / eta_a.  Folded rows must also stay within 1e-3 of
+|chi(0, 1)| of the former kernel's own eta_b rows.  On the benchmark's own
+af-numeric pools the eta = 1 row must lie within 2e-4 of |chi(0, 1)| of
+the closed form.
 """
 
 import json
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -95,12 +99,12 @@ def _af_rows(
     the time of the first one.  X is taken once by an FFT on the grid
     f_k = k df, k signed (|f| < fs/2, the samples' own band), whose delay
     period 1/df keeps every alias of the delay window off the support.
-    Each eta != 1 row takes X(f_k / eta) exactly by one chirp-z transform,
-    over the band holding all but ``_BAND_LOSS`` of the energy; the eta = 1
-    row uses |X|^2 on the whole grid, the exact discrete autocorrelation.
-    One FFT of the product gives chi at the sample lags, delayed by
-    a (1/eta - 1), which are interpolated onto ``delays``; cells outside a
-    row's support are zero.
+    Every row forms P_k = X_k conj(X(f_k / eta)): an eta != 1 row takes
+    X(f_k / eta) exactly by one chirp-z transform, over the band holding
+    all but ``_BAND_LOSS`` of the energy, and the eta = 1 row takes X
+    itself on the whole grid.  One FFT of P gives chi at the sample lags,
+    delayed by a (1/eta - 1); chi demodulated by the spectral centroid is
+    interpolated onto ``delays``.  Cells outside a row's support are zero.
     """
     fs, t0, T = sig.sample_rate, sig.t0, sig.duration
     shift = (t0 + 0.5 / fs) * (1.0 / etas - 1.0)
@@ -137,7 +141,7 @@ def _af_rows(
     demod = _cis(2.0 * np.pi * fbar / fs * lags)
     for i, eta in enumerate(etas):
         if eta == 1.0:
-            prod = power
+            prod = x * x.conj()
         else:
             prod = np.zeros(nfft, dtype=np.complex128)
             k = np.arange(max(int(np.floor(eta * k_lo)), -half),
@@ -147,9 +151,7 @@ def _af_rows(
                               fs)
                 prod[k] = x[k] * scaled.conj()
         chi = np.fft.fft(prod)[lags % nfft] * (df / fs**2 / np.sqrt(eta))
-        # The eta = 1 row, acf, interpolates |chi| itself, so the cut stays
-        # the linear interpolation of the exact discrete autocorrelation.
-        chi = np.abs(chi) if eta == 1.0 else chi * demod
+        chi *= demod
         inside = (delays > lo[i]) & (delays < hi[i])
         out[i, inside] = np.abs(
             np.interp(delays[inside], lags / fs + shift[i], chi)
@@ -202,10 +204,11 @@ def test_workspace_kernel_matches_former_kernel(spec):
     ref = mag**2 / np.max(mag**2)
     assert np.max(np.abs(ambiguity_numeric(sig, taus, etas).values - ref)) \
         <= 1e-12
-    # acf interpolates the eta = 1 row's |chi|, here on a finer grid.
+    # acf is the eta = 1 row, here on a finer grid.
     fine = np.linspace(-T, T, 801)
     cut = _af_rows(sig, fine, np.ones(1))[0]
-    np.testing.assert_array_equal(acf(sig, fine).values, cut / cut.max())
+    np.testing.assert_allclose(acf(sig, fine).values, cut / cut.max(),
+                               rtol=0, atol=1e-12)
 
 
 def _read_folded(sig, taus, etas, pairs):
@@ -334,12 +337,19 @@ def test_matches_resampling_kernel(spec_dir, name):
 
 
 def test_acf_is_the_exact_autocorrelation(spec_dir):
-    # At eta = 1 both kernels interpolate the same discrete autocorrelation.
+    # At the sample lags both kernels read the same discrete
+    # autocorrelation; between them acf interpolates the demodulated chi,
+    # the resampling kernel |chi|.
     sig = generate(_load(spec_dir, "fig6_gsfm"))
+    fs = sig.sample_rate
+    lags = np.arange(-int(0.25 * fs), int(0.25 * fs) + 1) / fs
+    ref = _resample_af_row(sig, 1.0, lags)
+    np.testing.assert_allclose(acf(sig, lags).values, ref / ref.max(),
+                               rtol=0, atol=1e-12)
     delays = np.linspace(-0.25, 0.25, 2001)
     ref = _resample_af_row(sig, 1.0, delays)
     np.testing.assert_allclose(acf(sig, delays).values, ref / ref.max(),
-                               rtol=0, atol=1e-12)
+                               rtol=0, atol=RTOL)
 
 
 _DRAWN = settings(
@@ -379,6 +389,38 @@ def test_drawn_specs_match_closed_form(wideband, band, gsfm, rho, cycles,
     closed = closed_af_surface(spec, taus, etas)
     diff = np.abs(np.sqrt(numeric.values) - np.sqrt(closed.values))
     assert np.max(diff) < 2e-3
+
+
+def _af_numeric_fm_pools():
+    """(seed, label, spec) for each rectangular sfm and even gsfm spec of
+    the benchmark's af-numeric pools, seeds 41, 7 and 1-5."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        import specgen
+    finally:
+        sys.path.remove(str(bench))
+    return [(seed, item["label"], WaveformSpec.from_dict(item["spec"]))
+            for seed in (41, 7, 1, 2, 3, 4, 5)
+            for item in specgen.af_numeric(seed)["specs"]
+            if item["spec"]["family"] in ("sfm", "gsfm")]
+
+
+def test_zero_doppler_row_matches_closed_form():
+    # The eta = 1 row interpolates the demodulated chi like every other
+    # row.  What is left is linear interpolation's own error, 1.46e-4 of
+    # |chi(0, 1)| at worst (seed 7, sfm-0).  Seed 41's gsfm-3 read 1.34e-3
+    # when the row interpolated |chi|, and reads 1.32e-5.
+    worst = {}
+    for seed, label, spec in _af_numeric_fm_pools():
+        taus = np.linspace(-spec.T / 2, spec.T / 2, 21)
+        numeric = ambiguity_numeric(generate(spec), taus, np.ones(1))
+        closed = closed_af_surface(spec, taus, np.ones(1))
+        worst[seed, label] = np.max(
+            np.abs(np.sqrt(numeric.values) - np.sqrt(closed.values)))
+    assert len(worst) == 56
+    assert max(worst.values()) < 2e-4
+    assert worst[41, "gsfm-3"] < 5e-5
 
 
 def test_far_delay_keeps_fft_small():
