@@ -94,8 +94,11 @@ def velocity_from_eta(eta, c: float = DEFAULT_SOUND_SPEED):
 class AmbiguityCut:
     """One-dimensional slice of an ambiguity surface.
 
-    ``values`` hold peak-normalized magnitude |chi| on the ``axis`` grid
-    (delay in seconds, or velocity in m/s for Doppler cuts).
+    ``values`` hold magnitude |chi| on the ``axis`` grid (delay in seconds,
+    or velocity in m/s for Doppler cuts), in units of |chi(0, 1)|: a cut of
+    a surface keeps the surface's normalizer (and its warning on a grid
+    that does not span the origin), and :func:`acf` divides by the signal's
+    energy.  A cut that misses the origin therefore peaks below 1.
     """
 
     axis: np.ndarray
@@ -141,20 +144,13 @@ class AmbiguitySurface:
     def delay_cut(self, eta: float = 1.0) -> AmbiguityCut:
         """Magnitude cut along delay at the grid row nearest ``eta``."""
         i = int(np.argmin(np.abs(self.dopplers - eta)))
-        mag = np.sqrt(self.values[i])
-        peak = mag.max()
-        if peak > 0:
-            mag = mag / peak
-        return AmbiguityCut(axis=self.delays, values=mag)
+        return AmbiguityCut(axis=self.delays, values=np.sqrt(self.values[i]))
 
     def doppler_cut(self, tau: float = 0.0) -> AmbiguityCut:
         """Magnitude cut along velocity at the grid column nearest ``tau``."""
         j = int(np.argmin(np.abs(self.delays - tau)))
-        mag = np.sqrt(self.values[:, j])
-        peak = mag.max()
-        if peak > 0:
-            mag = mag / peak
-        return AmbiguityCut(axis=self.velocities, values=mag)
+        return AmbiguityCut(axis=self.velocities,
+                            values=np.sqrt(self.values[:, j]))
 
     def to_csv(self, path) -> None:
         """Long-format export: one (tau, eta, v, value) row per cell."""
@@ -528,18 +524,18 @@ def ambiguity_numeric(
 
 
 def acf(sig: SampledSignal, delays) -> AmbiguityCut:
-    """Zero-Doppler autocorrelation cut, peak-normalized magnitude.
+    """Zero-Doppler autocorrelation cut |chi(tau, 1)| / |chi(0, 1)|.
 
     The cut is the eta = 1 row of :func:`ambiguity_numeric`'s kernel: the
     exact discrete autocorrelation at the sample lags, and between them the
-    linear interpolation of chi demodulated by the spectral centroid.
+    linear interpolation of chi demodulated by the spectral centroid.  It
+    is divided by the signal's energy, which is |chi(0, 1)|, so it reads 1
+    at tau = 0 and below 1 on delays that miss it; a zero signal gives 0.
     """
     delays = _finite_grid(delays, "delays")
     mag = _af_rows(sig, delays, np.ones(1))[0]
-    peak = mag.max()
-    if peak > 0:
-        mag = mag / peak
-    return AmbiguityCut(axis=delays, values=mag)
+    energy = sig.energy
+    return AmbiguityCut(axis=delays, values=mag / energy if energy else mag)
 
 
 # ----------------------------------------------------------------------

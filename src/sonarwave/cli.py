@@ -139,11 +139,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from dataclasses import asdict
+
     from . import analysis
 
     spec = _load_spec(args.spec)
     report = analysis.metrics_report(spec, band_hz=args.band)
-    _json_dump(json.loads(report.to_json()), args.out)
+    _json_dump(asdict(report), args.out)
     return 0
 
 

@@ -14,10 +14,9 @@ parameter.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-import threading
-import weakref
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Optional, Sequence
 
@@ -380,16 +379,6 @@ _PHASES = {
 }
 
 
-# The signals ``generate`` has sampled, by spec, while any caller holds one.
-_SAMPLED = weakref.WeakValueDictionary()
-# The signals of the last _RECENT distinct specs asked for, oldest first,
-# held until newer specs push them out: a design loop that asks for each
-# candidate and then its reference samples the reference once.
-_RECENT = 2
-_recent: dict = {}
-_recent_lock = threading.Lock()
-
-
 def generate(spec: WaveformSpec) -> SampledSignal:
     """Sample, taper and unit-energy normalize the waveform of ``spec``.
 
@@ -398,25 +387,23 @@ def generate(spec: WaveformSpec) -> SampledSignal:
     length for the coded families and one chip for the others, so a
     ``per-chip`` taper on an uncoded family tapers the whole pulse.
 
-    The samples are read-only, and one signal is shared by equal specs:
-    while any caller holds the signal of a spec, an equal spec returns that
-    same object, and so does a spec equal to one of the last two distinct
-    specs asked for.  Its transforms, such as its default
+    The samples are read-only.  The signals of the last two distinct specs
+    asked for are kept: a spec equal to one of them returns that same
+    object, so a design loop that asks for each candidate and then its
+    reference samples the reference once.  Any other spec is sampled
+    afresh, even while a caller still holds an earlier signal of it.  A
+    signal's transforms, such as its default
     :func:`~sonarwave.signal_core.spectrum_of`, are computed once and kept
     with it.  A spec that raises raises again on every call.
     """
-    sig = _SAMPLED.get(spec)
-    if sig is None:
-        fresh = _sample(spec)
-        # Holders get a read-only view of the sampler's locked array.  Two
-        # threads may both sample a missing spec; each gets a correct signal.
-        sig = _SAMPLED[spec] = replace(fresh, samples=_frozen(fresh.samples))
-    with _recent_lock:
-        _recent.pop(spec, None)
-        _recent[spec] = sig
-        if len(_recent) > _RECENT:
-            del _recent[next(iter(_recent))]
-    return sig
+    return _kept(spec)
+
+
+@functools.lru_cache(maxsize=2)
+def _kept(spec: WaveformSpec) -> SampledSignal:
+    """:func:`_sample`'s signal, as a read-only view of its locked array."""
+    fresh = _sample(spec)
+    return replace(fresh, samples=_frozen(fresh.samples))
 
 
 def _sample(spec: WaveformSpec) -> SampledSignal:

@@ -26,7 +26,7 @@ from sonarwave.ambiguity import (
     velocity_from_eta,
 )
 from sonarwave.gbf import TruncationError
-from sonarwave.signal_core import ParameterError, Taper
+from sonarwave.signal_core import ParameterError, SampledSignal, Taper
 from sonarwave.waveforms import WaveformSpec, generate, m_sequence
 
 T, FC, DF = 0.5, 2000.0, 200.0
@@ -577,6 +577,39 @@ class TestSurfaceIO:
         assert surf.delay_cut().values.max() == pytest.approx(1.0)
         assert surf.doppler_cut().values.max() == pytest.approx(1.0)
         assert len(surf.velocities) == len(surf.dopplers)
+
+
+class TestCutNormalizer:
+    """Every cut is in units of |chi(0, 1)|, not of its own maximum."""
+
+    SFM = WaveformSpec(family="sfm", T=T, f_c=FC, delta_f=DF, f_m=10.0)
+
+    def test_acf_off_the_origin_keeps_chi_at_the_origin(self):
+        sig = generate(self.SFM)
+        off = acf(sig, [0.1, 0.2]).values
+        on = acf(sig, [0.0, 0.1, 0.2]).values
+        assert on[0] == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(off, on[1:], rtol=0, atol=1e-12)
+        assert off[0] == pytest.approx(0.8, abs=1e-3)
+
+    def test_acf_divides_by_the_signal_energy(self):
+        sig = generate(LFM).scaled(3.0)
+        delays = np.linspace(-0.1, 0.1, 41)
+        np.testing.assert_allclose(acf(sig, delays).values,
+                                   acf(generate(LFM), delays).values,
+                                   rtol=0, atol=1e-12)
+        zero = SampledSignal(np.zeros(64), 1000.0)
+        assert np.array_equal(acf(zero, [0.0, 0.01]).values, [0.0, 0.0])
+
+    def test_cuts_keep_the_surface_normalizer(self):
+        surf = ambiguity_numeric(generate(self.SFM),
+                                 np.linspace(-0.25, 0.25, 21), [1.0, 1.01])
+        row = surf.delay_cut(1.01).values
+        assert np.array_equal(row, np.sqrt(surf.values[1]))
+        assert row.max() == pytest.approx(0.1455, abs=1e-3)
+        column = surf.doppler_cut(0.1).values
+        assert np.array_equal(column, np.sqrt(surf.values[:, 14]))
+        assert column.max() < 0.9
 
 
 class TestCompareAf:

@@ -575,6 +575,18 @@ def test_equal_spec_shares_the_held_signal():
                                  delta_f=200)) is held
 
 
+def test_held_signal_is_not_kept_past_two_other_specs():
+    # Only the last two distinct specs are kept: once two others were asked
+    # for, an equal spec is sampled afresh, though a caller holds the first.
+    a = WaveformSpec(family="lfm", T=0.25, f_c=FC, delta_f=DF)
+    held = generate(a)
+    generate(WaveformSpec(family="cw", T=0.25, f_c=FC))
+    generate(WaveformSpec(family="cw", T=0.25, f_c=FC + 1.0))
+    again = generate(a)
+    assert again is not held
+    assert same_signal(again, held)
+
+
 def test_samples_are_read_only():
     samples = generate(WaveformSpec(family="cw", T=T, f_c=FC)).samples
     with pytest.raises(ValueError):
