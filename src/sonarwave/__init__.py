@@ -15,22 +15,23 @@ import importlib
 
 __version__ = "0.1.0"
 
-# The submodule that defines each public name.
+# The submodule that defines each public name; the one list of them.
 _EXPORTS = {
     "signal_core": (
         "ParameterError", "SampledSignal", "Spectrum", "Taper", "make_taper",
         "resample_scale", "spectrum_of",
     ),
     "waveforms": (
-        "FourierPhaseModel", "WaveformSpec", "costas_code", "generate",
-        "gsfm_fourier_coeffs", "harmonic_series", "is_costas", "m_sequence",
+        "CodeError", "FourierPhaseModel", "WaveformSpec", "costas_code",
+        "generate", "gsfm_fourier_coeffs", "harmonic_series", "is_costas",
+        "m_sequence",
     ),
     "gbf": ("GbfCoefficients", "TruncationError", "gbf_coeffs"),
     "analysis": (
-        "MetricsReport", "bandwidth_98", "carson_gsfm", "carson_sfm",
-        "closed_spectrum", "energy_efficiency", "gsfm_spectrum_closed",
-        "metrics_report", "papr", "se_papr_sweep", "sfm_spectrum_closed",
-        "spectral_efficiency",
+        "MetricsReport", "UndefinedMetricError", "bandwidth_98",
+        "carson_gsfm", "carson_sfm", "closed_spectrum", "energy_efficiency",
+        "gsfm_spectrum_closed", "metrics_report", "papr", "se_papr_sweep",
+        "sfm_spectrum_closed", "spectral_efficiency",
     ),
     "ambiguity": (
         "AmbiguityCut", "AmbiguitySurface", "acf", "ambiguity_numeric",
@@ -39,8 +40,9 @@ _EXPORTS = {
         "velocity_from_eta",
     ),
     "transducer": (
-        "TransducerResponse", "apply_response", "equalize", "make_response",
-        "peak_normalized", "trw_report",
+        "FormatError", "TransducerResponse", "apply_response", "equalize",
+        "load_response_table", "make_response", "peak_normalized",
+        "trw_report",
     ),
 }
 _MODULE_OF = {name: mod for mod, names in _EXPORTS.items() for name in names}

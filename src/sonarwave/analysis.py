@@ -6,8 +6,7 @@ efficiency, the SFM/GSFM closed-form spectra, and the SE-vs-PAPR sweep.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -17,6 +16,7 @@ from .signal_core import (
     ParameterError,
     SampledSignal,
     Spectrum,
+    _held,
     _is_number,
     _is_uniform,
     spectrum_of,
@@ -44,9 +44,6 @@ class MetricsReport:
     energy: float
     tbp: Optional[float]
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(asdict(self), **kwargs)
-
 
 def papr(sig: SampledSignal) -> float:
     """Peak-to-average power ratio of the real signal, in dB."""
@@ -62,14 +59,24 @@ def _cumulative_energy(spec: Spectrum):
 
     ``cum[i]`` is the energy up to the upper edge of bin i - 1.  A band edge
     between two bin edges reads ``cum`` by linear interpolation, which is
-    the fractional-bin trapezoid rule.
+    the fractional-bin trapezoid rule.  A read-only spectrum, such as a
+    generated signal's, keeps its table.  A total that is zero or not
+    finite is refused.
     """
-    p = np.abs(spec.values) ** 2
-    cum = np.concatenate([[0.0], np.cumsum(p) * spec.df])
-    edges = np.concatenate(
-        [[spec.freqs[0] - spec.df / 2], spec.freqs + spec.df / 2]
-    )
-    return edges, cum, cum[-1]
+    def table(spec):
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            cum = np.concatenate(
+                [[0.0], np.cumsum(np.abs(spec.values) ** 2) * spec.df])
+        if not np.isfinite(cum[-1]):
+            raise ParameterError("spectrum energy must be finite")
+        if cum[-1] == 0:
+            raise UndefinedMetricError("spectrum has zero energy")
+        edges = np.concatenate(
+            [[spec.freqs[0] - spec.df / 2], spec.freqs + spec.df / 2]
+        )
+        return edges, cum, cum[-1]
+
+    return _held(spec, "energy_table", table, spec.freqs, spec.values)
 
 
 def _band_fraction(table, f_c: float, delta_F: float) -> float:
@@ -87,16 +94,11 @@ def spectral_efficiency(spec: Spectrum, f_c: float, delta_F: float) -> float:
     Band edges are handled by fractional-bin trapezoid interpolation of the
     cumulative energy.
     """
-    return _spectral_efficiency(spec, _cumulative_energy(spec), f_c, delta_F)
-
-
-def _spectral_efficiency(spec: Spectrum, table, f_c: float,
-                         delta_F: float) -> float:
-    """:func:`spectral_efficiency` on the spectrum's cumulative ``table``."""
     if not (np.isfinite(f_c) and np.isfinite(delta_F)):
         raise ParameterError("f_c and delta_F must be finite")
     if delta_F < 0:
         raise ParameterError("delta_F must be nonnegative")
+    table = _cumulative_energy(spec)
     edges = table[0]
     slack = 1e-9 * (abs(spec.freqs[-1]) + spec.df)
     if (
@@ -120,12 +122,7 @@ def bandwidth_98(
         raise ParameterError("fraction must lie in (0, 1]")
     if not (np.isfinite(tol_hz) and tol_hz > 0):
         raise ParameterError("tol_hz must be finite and positive")
-    return _bandwidth_98(_cumulative_energy(spec), f_c, fraction, tol_hz)
-
-
-def _bandwidth_98(table, f_c: float, fraction: float = 0.98,
-                  tol_hz: float = 0.1) -> float:
-    """:func:`bandwidth_98` on a cumulative-energy ``table``."""
+    table = _cumulative_energy(spec)
     edges = table[0]
     max_df = 2.0 * min(f_c - edges[0], edges[-1] - f_c)
     if not max_df >= 0:
@@ -265,9 +262,8 @@ def metrics_report(
     """
     sig = generate(spec)
     sp = spectrum_of(sig)
-    table = _cumulative_energy(sp)
     try:
-        b98 = _bandwidth_98(table, spec.f_c)
+        b98 = bandwidth_98(sp, spec.f_c)
     except UndefinedMetricError:
         if band_hz is None:
             raise
@@ -281,8 +277,8 @@ def metrics_report(
         )
     return MetricsReport(
         papr_db=papr(sig),
-        se=_spectral_efficiency(
-            sp, table, spec.f_c, b98 if band_hz is None else band_hz
+        se=spectral_efficiency(
+            sp, spec.f_c, b98 if band_hz is None else band_hz
         ),
         band_98=b98,
         carson_hz=carson,

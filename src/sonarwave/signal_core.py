@@ -86,14 +86,19 @@ class SampledSignal:
     samples: np.ndarray
     sample_rate: float
     t0: float = 0.0
-    energy_normalized: bool = False
 
     def __post_init__(self):
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=np.complex128)
         )
-        if self.sample_rate <= 0:
-            raise ParameterError("sample_rate must be positive")
+        if not (_is_number(self.sample_rate) and self.sample_rate > 0):
+            raise ParameterError(
+                f"sample_rate must be a finite positive number, got "
+                f"{self.sample_rate!r}")
+        if not _is_number(self.t0):
+            raise ParameterError(f"t0 must be a finite number, got {self.t0!r}")
+        if self.samples.ndim != 1:
+            raise ParameterError("samples must be 1-D")
         if self.samples.size == 0:
             raise ParameterError("samples must be nonempty")
 
@@ -118,14 +123,10 @@ class SampledSignal:
         e = self.energy
         if e == 0:
             raise ParameterError("cannot normalize an all-zero signal")
-        return replace(
-            self, samples=self.samples / np.sqrt(e), energy_normalized=True
-        )
+        return replace(self, samples=self.samples / np.sqrt(e))
 
     def scaled(self, factor: complex) -> "SampledSignal":
-        return replace(
-            self, samples=self.samples * factor, energy_normalized=False
-        )
+        return replace(self, samples=self.samples * factor)
 
 
 @dataclass(frozen=True)
@@ -276,12 +277,7 @@ def resample_scale(sig: SampledSignal, eta: float) -> SampledSignal:
         gathered *= kern
         out[lo : lo + _BLOCK] = np.sum(gathered, axis=1)
 
-    return SampledSignal(
-        samples=out,
-        sample_rate=fs,
-        t0=sig.t0 / eta,
-        energy_normalized=False,
-    )
+    return SampledSignal(samples=out, sample_rate=fs, t0=sig.t0 / eta)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -303,21 +299,21 @@ def _locked(a: np.ndarray) -> bool:
     return True
 
 
-def _held(sig: SampledSignal, key: str, compute):
-    """``compute(sig)``, kept with ``sig`` when its samples are locked.
+def _held(owner, key: str, compute, *arrays):
+    """``compute(owner)``, kept with ``owner`` when ``arrays`` are locked.
 
-    A signal that :func:`sonarwave.waveforms.generate` hands out has locked
-    samples, so a transform of it is computed once and lives exactly as
-    long as the signal.  A signal whose samples may still change, such as
-    one built from a writable array, is transformed afresh on every call.
-    The kept values sit in the instance's ``__dict__``, not in a dataclass
-    field, so equality, ``repr``, ``replace`` and ``fields`` ignore them.
+    ``arrays`` default to a signal's samples.  A transform of a signal that
+    ``generate`` hands out, or of its kept spectrum, is computed once and
+    lives exactly as long as its owner; one built from a writable array is
+    transformed afresh on every call.  The kept values sit in the instance's
+    ``__dict__``, not in a dataclass field, so equality, ``repr``,
+    ``replace`` and ``fields`` ignore them.
     """
-    if not _locked(sig.samples):
-        return compute(sig)
-    held = sig.__dict__.setdefault("_held", {})
+    if not all(map(_locked, arrays or (owner.samples,))):
+        return compute(owner)
+    held = owner.__dict__.setdefault("_held", {})
     if key not in held:
-        held[key] = compute(sig)
+        held[key] = compute(owner)
     return held[key]
 
 

@@ -25,17 +25,6 @@ from .signal_core import (
 )
 from .waveforms import WaveformSpec, generate
 
-__all__ = [
-    "FormatError",
-    "TransducerResponse",
-    "make_response",
-    "load_response_table",
-    "equalize",
-    "apply_response",
-    "peak_normalized",
-    "trw_report",
-]
-
 # Out-of-band magnitude slope, dB per octave.
 _ROLLOFF_DB_PER_OCTAVE = 12.0
 
@@ -292,28 +281,27 @@ def apply_response(
     Output energy is NOT renormalized -- it reflects the waveform's taper,
     spectral containment, and the chain response jointly.
     """
-    half, n = _filtered_half(sig, resp)
-    return SampledSignal(
-        samples=_analytic(half, n),
-        sample_rate=sig.sample_rate,
-        t0=sig.t0,
-        energy_normalized=False,
-    )
+    half = _drive(sig)[0] * resp.response_at(_drive_freqs(sig, resp))
+    return SampledSignal(_analytic(half, len(sig)), sig.sample_rate, sig.t0)
 
 
-def _filtered_half(sig: SampledSignal, resp: TransducerResponse):
-    """rfft of the real drive times the response, and the drive length."""
+def _drive(sig: SampledSignal):
+    """rfft X of the real drive, and the drive's peak."""
     x = sig.samples.real
-    if np.max(np.abs(x)) == 0:
+    peak = np.max(np.abs(x))
+    if peak == 0:
         raise ParameterError("cannot drive an all-zero signal")
-    n = len(x)
-    if n < 2:
+    if len(x) < 2:
         raise ParameterError("cannot drive a signal of one sample")
-    spec = np.fft.rfft(x)
-    f = np.fft.rfftfreq(n, d=1.0 / sig.sample_rate)
+    return np.fft.rfft(x), float(peak)
+
+
+def _drive_freqs(sig: SampledSignal, resp: TransducerResponse) -> np.ndarray:
+    """Frequencies of the drive's rfft bins, which ``resp`` must reach."""
+    f = np.fft.rfftfreq(len(sig), d=1.0 / sig.sample_rate)
     if f[-1] < resp.freqs[0] or f[1] > resp.freqs[-1]:
         raise FormatError("signal band lies entirely outside the response")
-    return spec * resp.response_at(f), n
+    return f
 
 
 def _analytic(half: np.ndarray, n: int) -> np.ndarray:
@@ -341,14 +329,8 @@ def peak_normalized(sig: SampledSignal) -> SampledSignal:
 
 def _drive_power(sig: SampledSignal):
     """Power |X_k|^2 of the rfft X of the real drive, and the drive's peak."""
-    x = sig.samples.real
-    peak = np.max(np.abs(x))
-    if peak == 0:
-        raise ParameterError("cannot peak-normalize an all-zero signal")
-    if len(x) < 2:
-        raise ParameterError("cannot drive a signal of one sample")
-    spec = np.fft.rfft(x)
-    return _frozen(spec.real ** 2 + spec.imag ** 2), float(peak)
+    spec, peak = _drive(sig)
+    return _frozen(spec.real ** 2 + spec.imag ** 2), peak
 
 
 def _trw_energy(sig: SampledSignal, resp: TransducerResponse) -> float:
@@ -364,10 +346,7 @@ def _trw_energy(sig: SampledSignal, resp: TransducerResponse) -> float:
     """
     power, peak = _held(sig, "drive_power", _drive_power)
     n = len(sig)
-    f = np.fft.rfftfreq(n, d=1.0 / sig.sample_rate)
-    if f[-1] < resp.freqs[0] or f[1] > resp.freqs[-1]:
-        raise FormatError("signal band lies entirely outside the response")
-    out = power * 10.0 ** (resp.magnitude_at(f) / 10.0)
+    out = power * 10.0 ** (resp.magnitude_at(_drive_freqs(sig, resp)) / 10.0)
     total = 4.0 * np.sum(out[1 : len(out) - 1 if n % 2 == 0 else len(out)])
     total += out[0]
     if n % 2 == 0:

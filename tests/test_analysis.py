@@ -1,5 +1,6 @@
 """Tests for scalar metrics, Carson rules, closed spectra, and the sweep."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -192,6 +193,34 @@ class TestBandwidth98:
         sp = spectrum_of(generate(WaveformSpec(family="cw", T=T, f_c=FC)))
         with pytest.raises(ParameterError):
             bandwidth_98(sp, f_c)
+
+
+class TestSpectrumEnergy:
+    """Energy fractions of a spectrum whose total is zero or not finite."""
+
+    FREQS = np.arange(8.0)
+    METRICS = pytest.mark.parametrize("metric", [
+        lambda sp: bandwidth_98(sp, 3.5),
+        lambda sp: spectral_efficiency(sp, 3.5, 2.0),
+    ], ids=["bandwidth_98", "spectral_efficiency"])
+
+    @METRICS
+    def test_zero_energy_is_undefined(self, metric):
+        # 0 / 0 once: a RuntimeWarning, and a NaN fraction.
+        sp = Spectrum(freqs=self.FREQS, values=np.zeros(8), df=1.0)
+        with pytest.raises(UndefinedMetricError, match="zero energy"):
+            metric(sp)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    @METRICS
+    def test_non_finite_energy_is_refused(self, metric, bad):
+        # A NaN bin once gave a "98% band" of 7.0 on this 8-bin grid.
+        values = np.ones(8)
+        values[5] = bad
+        sp = Spectrum(freqs=self.FREQS, values=values, df=1.0)
+        with pytest.raises(ParameterError, match="finite") as info:
+            metric(sp)
+        assert not isinstance(info.value, UndefinedMetricError)
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +416,7 @@ class TestEnergyEfficiency:
 class TestMetricsReport:
     def test_fields_and_json(self):
         rep = metrics_report(SFM_SPEC)
-        data = json.loads(rep.to_json())
+        data = json.loads(json.dumps(dataclasses.asdict(rep)))
         assert set(data) == {
             "papr_db", "se", "band_98", "carson_hz", "energy", "tbp"
         }
@@ -412,7 +441,7 @@ class TestUndefinedBand:
         rep = metrics_report(self.SPEC, band_hz=1000.0)
         assert rep.band_98 is None and rep.tbp is None
         assert np.isfinite(rep.se) and np.isfinite(rep.papr_db)
-        assert json.loads(rep.to_json())["band_98"] is None
+        assert json.loads(json.dumps(dataclasses.asdict(rep)))["band_98"] is None
 
     def test_report_without_band_raises(self):
         with pytest.raises(UndefinedMetricError) as info:

@@ -8,18 +8,17 @@ serves as the reference:
   builds it once and must return the same float (``==``) on every spec of
   ``specs/`` and on drawn specs.
 - ``_reference_trw_energy`` is the energy of ``apply_response``'s analytic
-  TRW, and ``_analytic_energy`` takes it by Parseval from the filtered
-  half spectrum, phase included.  ``trw_report`` takes it from magnitudes
-  alone and must agree with both to 1e-12 relative, for odd and even
-  lengths, through both README responses and a zero-ripple one, on
-  ``specs/`` and on the benchmark's drawn pools.
-- ``metrics_report`` measures the 98% band and the SE on one
-  cumulative-energy table and must equal (``==``) the report built from
-  the public ``bandwidth_98`` and ``spectral_efficiency``.
+  TRW, and ``_analytic_energy`` takes it by Parseval from X H, the rfft of
+  the real drive times the response, phase included.  ``trw_report`` takes
+  it from magnitudes alone and must agree with both to 1e-12 relative, for
+  odd and even lengths, through both README responses and a zero-ripple
+  one, on ``specs/`` and on the benchmark's drawn pools.
+- ``metrics_report`` must equal (``==``) the report built from the public
+  ``bandwidth_98`` and ``spectral_efficiency``.
 - The spectrum a signal from ``generate`` keeps must equal one computed
   afresh from a writable copy, bit for bit, and be read-only; kept
-  transforms are freed with their signal, and a writable signal keeps
-  none.
+  transforms, the spectrum's cumulative-energy table among them, are freed
+  with their signal, and a writable signal or spectrum keeps none.
 - ``_reference_cumulative_simpson`` evaluates every interval looking ahead
   and looking behind and keeps half of each.  ``_cumulative_simpson``
   evaluates only the intervals it keeps and must agree by
@@ -38,6 +37,7 @@ from hypothesis import strategies as st
 from sonarwave import waveforms
 from sonarwave.analysis import (
     UndefinedMetricError,
+    _cumulative_energy,
     bandwidth_98,
     metrics_report,
     papr,
@@ -47,11 +47,11 @@ from sonarwave.cli import _load_response, _load_spec
 from sonarwave.signal_core import (
     ParameterError,
     SampledSignal,
+    Spectrum,
     Taper,
     spectrum_of,
 )
 from sonarwave.transducer import (
-    _filtered_half,
     _trw_energy,
     apply_response,
     equalize,
@@ -254,8 +254,14 @@ def _responses_at(f_c):
 
 
 def _writable_copy(sig):
-    return SampledSignal(sig.samples.copy(), sig.sample_rate, sig.t0,
-                         sig.energy_normalized)
+    return SampledSignal(sig.samples.copy(), sig.sample_rate, sig.t0)
+
+
+def _filtered_rfft(sig, resp):
+    """X H: the rfft of the real drive times the response at its bins."""
+    n = len(sig)
+    f = np.fft.rfftfreq(n, d=1.0 / sig.sample_rate)
+    return np.fft.rfft(sig.samples.real) * resp.response_at(f), n
 
 
 @pytest.mark.parametrize("response",
@@ -274,7 +280,7 @@ def test_trw_energy_matches_analytic_signal(spec_dir, response):
             got = _trw_energy(sig, resp)
             ref = _reference_trw_energy(cut, resp)
             assert got == pytest.approx(ref, rel=1e-12, abs=0)
-            parseval = _analytic_energy(*_filtered_half(cut, resp),
+            parseval = _analytic_energy(*_filtered_rfft(cut, resp),
                                         cut.sample_rate)
             assert got == pytest.approx(parseval, rel=1e-12, abs=0)
             lengths.add(n % 2)
@@ -366,6 +372,23 @@ def test_writable_signal_keeps_no_transform():
         own[:] = held.samples
 
 
+def test_writable_spectrum_keeps_no_table():
+    sp = spectrum_of(generate(WaveformSpec(family="lfm", T=0.25, f_c=2000.0,
+                                           delta_f=200.0)))
+    values = sp.values.copy()
+    own = Spectrum(sp.freqs.copy(), values, sp.df)
+    # A read-only view of a writable array may still change under it.
+    view = values.view()
+    view.flags.writeable = False
+    for spec in (own, Spectrum(sp.freqs, view, sp.df)):
+        before = bandwidth_98(spec, 2000.0)
+        assert before == bandwidth_98(sp, 2000.0)
+        values[np.abs(spec.freqs - 2000.0) > 20.0] = 0.0
+        assert bandwidth_98(spec, 2000.0) < before
+        values[:] = sp.values
+    assert _cumulative_energy(sp) is _cumulative_energy(sp)
+
+
 def test_kept_transforms_are_freed_with_their_signal():
     # 50 distinct 16,000-sample specs, each transformed and dropped: only
     # the last two asked for stay, with their transforms, not 50 of them.
@@ -377,8 +400,11 @@ def test_kept_transforms_are_freed_with_their_signal():
 
     def transform(sig):
         sp = spectrum_of(sig)
+        bandwidth_98(sp, 2000.0)
         _trw_energy(sig, resp)
-        return sig.samples.nbytes + sp.freqs.nbytes + sp.values.nbytes
+        edges, cum, _ = _cumulative_energy(sp)
+        return (sig.samples.nbytes + sp.freqs.nbytes + sp.values.nbytes
+                + edges.nbytes + cum.nbytes)
 
     nbytes = transform(generate(spec(-1)))
     gc.collect()

