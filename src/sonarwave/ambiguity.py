@@ -20,7 +20,9 @@ where mu_nm = x_n - y_m separates into one frequency per order.  Its
 Cauchy kernel 1 / (pi mu_nm) is applied once per Doppler row, or per
 reciprocal pair of rows, by :func:`sonarwave.gbf._cauchy_sums`, the
 routine the closed spectra share: by one FFT convolution on the eta = 1
-row, where x = y, and in tiles on the others.
+row, where x = y, and in tiles on the others.  A series spanning whole
+periods of its fundamental (every even gsfm, and an sfm with whole f_m T)
+hands it one real vector, complex rows and columns otherwise.
 """
 
 from __future__ import annotations
@@ -545,6 +547,11 @@ def acf(sig: SampledSignal, delays) -> AmbiguityCut:
 # Coefficients below this magnitude are dropped from the double series.
 _PRUNE = 1e-8
 
+# A support counts as a whole number of periods, and its start as on a half
+# period, when f0 T and 2 f0 ta are this many ulp or fewer from integers:
+# the roundings of f0 = 1 / T or f_m = cycles / T and of the product.
+_WHOLE_ULPS = 4
+
 
 def _closed_af_points(
     betas: np.ndarray,
@@ -576,9 +583,13 @@ def _closed_af_points(
     is either a support edge s for a given delay (fixed: A(s) C is the same
     for every delay) or s / eta - tau (moving: tau + t = s / eta, so
     C R(s / eta) is).  :func:`sonarwave.gbf._cauchy_sums` thus applies the
-    kernel once per row, to two rows and two columns.  Each delay then
-    needs one sum sum_m w_m exp(j a (x0 + h m)) per end over orders whose
-    frequencies are an arithmetic progression, which
+    kernel once per row, to two rows and two columns.  A whole-period
+    series (:func:`_whole_period_spin`) needs one real vector w = g spin
+    instead: A(s) = exp(2j pi fc_eff (1 - eta) s) w at both edges and
+    R(s / eta) = w, so the kernel takes w as a real row and column, and on
+    the eta = 1 row one real convolution gives both, as C w = -(w C).
+    Each delay then needs one sum sum_m c_m exp(j a (x0 + h m)) per end
+    over orders whose frequencies are an arithmetic progression, which
     :func:`_progression_sums` takes from two tables of about sqrt(M)
     phasors per delay.  Rows come in reciprocal pairs
     on a grid symmetric in velocity, and |chi(tau, eta)| =
@@ -613,8 +624,12 @@ def _closed_af_points(
     kept = np.nonzero(keep)[0]
     span = slice(kept[0], kept[-1] + 1)
     g = np.where(keep[span], c.values[span], 0.0)
-    gc = np.conj(g)
     orders = c.orders[span].astype(float)
+    spin = _whole_period_spin(betas, f0, ta, tb, orders)
+    if spin is not None:
+        # Real betas have real coefficients: drop the FFT's rounding residue.
+        g = g.real + 0j
+    gc = np.conj(g)
 
     # Exact support overlap of s(t) and s(eta (t + tau)).
     t1 = np.maximum(ta, ta / etas - taus)
@@ -629,7 +644,8 @@ def _closed_af_points(
         rows = np.nonzero((etas == eta) & (length > 0))[0]
         if len(rows) == 0:
             continue
-        x = fc_eff * (1.0 - eta) + f0 * orders
+        shift = fc_eff * (1.0 - eta)
+        x = shift + f0 * orders
         h = f0 * eta
         y = h * orders
         # Shared factors of the ends t2 (at tb) and t1 (at ta): A(s) C for
@@ -637,12 +653,25 @@ def _closed_af_points(
         # others.
         edges = np.array([tb, ta])
         near = _SINGULAR / np.max(length[rows])
-        u, v = _cauchy_sums(
-            x, y, near, g * np.exp(2j * np.pi * np.outer(edges, x)),
-            (gc * np.exp(-2j * np.pi * np.outer(edges / eta, y))).T,
-        )
-        u *= gc
-        v *= g[:, None]
+        if spin is None:
+            u, v = _cauchy_sums(
+                x, y, near, g * np.exp(2j * np.pi * np.outer(edges, x)),
+                (gc * np.exp(-2j * np.pi * np.outer(edges / eta, y))).T,
+            )
+            u *= gc
+            v *= g[:, None]
+        else:
+            # A(s) = exp(2j pi shift s) w and R(s / eta) = w at either edge.
+            w = g.real * spin
+            if eta == 1.0:
+                # x = y, so C is antisymmetric: C w = -(w C).
+                wc = _cauchy_sums(x, y, near, w[None, :])[0]
+                cw = -wc
+            else:
+                wc, cw = _cauchy_sums(x, y, near, w[None, :], w[:, None])
+                wc, cw = wc[0], cw[:, 0]
+            u = np.outer(np.exp(2j * np.pi * shift * edges), wc * g)
+            v = np.broadcast_to((cw * g)[:, None], (len(g), 2))
         for b0 in range(0, len(rows), batch):
             sel = rows[b0 : b0 + batch]
             tau = taus[sel]
@@ -664,6 +693,22 @@ def _closed_af_points(
                 chi += np.sum(terms, axis=1)
             out[sel] = np.sqrt(eta) * np.abs(chi) / T
     return out
+
+
+def _whole_period_spin(betas, f0, ta, tb, orders):
+    """exp(2j pi f0 n ta), +-1 at each order n, for a whole-period series.
+
+    A series is whole-period when its betas are real and [ta, tb] spans a
+    whole number of periods 1 / f0 from a start on a half period: every
+    even gsfm, and an sfm whose f_m T is whole.  Otherwise None.
+    """
+    cycles, start = f0 * (tb - ta), 2.0 * f0 * ta
+    if np.iscomplexobj(betas) or not all(
+        abs(v - np.rint(v)) <= _WHOLE_ULPS * np.spacing(abs(v))
+        for v in (cycles, start)
+    ):
+        return None
+    return 1.0 - 2.0 * (np.rint(start) * orders % 2.0)
 
 
 def _progression_sums(

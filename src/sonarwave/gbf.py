@@ -200,11 +200,15 @@ def _singular_pairs(x: np.ndarray, y: np.ndarray, near: float):
 def _cauchy_sums(x, y, near, left, right=None):
     """Both products of the Cauchy kernel C_nm = 1 / (pi (x_n - y_m)).
 
-    Returns ``(left @ C, C @ right)`` for complex ``left`` (L, N) and
-    ``right`` (M, R), at ``x`` (N) and ``y`` (M), each an ascending
-    arithmetic progression; without ``right``, only ``left @ C``.  Pairs
-    with |x_n - y_m| < ``near`` get C = 0; callers add them as exact terms
+    Returns ``(left @ C, C @ right)`` for ``left`` (L, N) and ``right``
+    (M, R), at ``x`` (N) and ``y`` (M), each an ascending arithmetic
+    progression; without ``right``, only ``left @ C``.  Pairs with
+    |x_n - y_m| < ``near`` get C = 0; callers add them as exact terms
     (:func:`_pair_terms`).  This is the one place the kernel is applied.
+    Real sides (both real, or ``left`` real without ``right``) give real
+    products at half the work: the tile products take them as they are,
+    and the convolution is an rfft.  A complex side is applied as its real
+    and imaginary parts.
 
     When x and y are equal and their step is at least ``near``, the pairs
     left out are exactly the diagonal and C_nm = kappa(n - m) is Toeplitz
@@ -218,6 +222,7 @@ def _cauchy_sums(x, y, near, left, right=None):
     columns the sides hold, and no pass holds more than a tile's pairs.
     """
     n_count, m_count = len(x), len(y)
+    real = not (np.iscomplexobj(left) or np.iscomplexobj(right))
     if np.array_equal(x, y) and np.all(np.diff(x) >= near):
         h = (x[-1] - x[0]) / max(n_count - 1, 1)
         size = _fast_len(2 * n_count - 1)
@@ -227,17 +232,22 @@ def _cauchy_sums(x, y, near, left, right=None):
         sides = left if right is None else np.concatenate([left, right.T])
         # sum_n left_n C_nm = -(kappa * left)_m and sum_m C_nm right_m =
         # (kappa * right)_n, by antisymmetry.
-        conv = np.fft.ifft(np.fft.fft(sides, size) * np.fft.fft(kappa))
+        if real:
+            conv = np.fft.irfft(
+                np.fft.rfft(sides, size) * np.fft.rfft(kappa), size)
+        else:
+            conv = np.fft.ifft(np.fft.fft(sides, size) * np.fft.fft(kappa))
         lc = -conv[: len(left), :n_count]
         if right is None:
             return lc
         # A copy, so that no view holds the whole convolution while the
         # caller works.
         return lc, conv[len(left) :, :n_count].T.copy()
-    side = np.concatenate([left.real, left.imag])
+    side = left if real else np.concatenate([left.real, left.imag])
     lc = np.zeros((len(side), m_count))
     if right is not None:
-        other = np.concatenate([right.real, right.imag], axis=1)
+        other = (right if real
+                 else np.concatenate([right.real, right.imag], axis=1))
         cr = np.zeros((n_count, other.shape[1]))
     cols = min(m_count, max(_TILE_SIDE, _TILE // n_count)) or 1
     rows = min(n_count, _TILE // cols)
@@ -259,6 +269,8 @@ def _cauchy_sums(x, y, near, left, right=None):
             lc[:, m0 : m0 + cols] += side[:, n0 : n0 + rows] @ kern
             if right is not None:
                 cr[n0 : n0 + rows] += kern @ other[m0 : m0 + cols]
+    if real:
+        return lc if right is None else (lc, cr)
     lc = lc[: len(left)] + 1j * lc[len(left) :]
     if right is None:
         return lc

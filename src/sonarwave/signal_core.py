@@ -146,6 +146,11 @@ class Spectrum:
         object.__setattr__(
             self, "values", np.asarray(self.values, dtype=np.complex128)
         )
+        if not (_is_number(self.df) and self.df > 0):
+            raise ParameterError(
+                f"df must be a finite positive number, got {self.df!r}")
+        if self.freqs.ndim != 1 or self.values.ndim != 1:
+            raise ParameterError("freqs and values must be 1-D")
         if len(self.freqs) != len(self.values):
             raise ParameterError("freqs and values must have equal length")
 
@@ -387,9 +392,11 @@ def _write_text(text: str, path) -> None:
 
 
 def _write_columns(path, header: str, columns, end: str = "\n") -> None:
-    """CSV of float columns: ``header``, then each row's values as repr."""
-    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-    _write_text(
-        header + end + "".join(",".join(map(repr, r)) + end for r in rows),
-        path,
-    )
+    """CSV of float columns: ``header``, then each row's values as repr.
+
+    One ``%`` fills a template of every row, so no row is formatted alone.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%r"] * table.shape[1]) + end
+    body = row * len(table) % tuple(table.ravel().tolist())
+    _write_text(header + end + body, path)

@@ -10,7 +10,9 @@ kernel (the eta = 1 Doppler row).  The cases are rows at eta < 1 and
 eta > 1, pruned orders embedded at weight 0, N = 1 and M = 1, sizes that
 are no multiple of the tile side, tiles that straddle the band of
 left-out pairs, and a closed spectrum's lines against a grid that hits
-them.
+them.  Real sides, as whole-period closed-AF rows pass, must equal the
+complex call on the same vectors to ``RTOL_REAL`` in both branches, and on
+equal grids -(w @ C) must equal C @ w, the eta = 1 row's shortcut.
 """
 
 import tracemalloc
@@ -31,6 +33,7 @@ from sonarwave.gbf import (
 from sonarwave.waveforms import WaveformSpec, harmonic_series
 
 RTOL = 1e-14
+RTOL_REAL = 1e-15
 
 
 def _tiled_cauchy_sums(x, y, near, left, right=None):
@@ -231,3 +234,41 @@ def test_left_out_pairs_are_the_exact_pairs(eta):
     m = np.concatenate([m for m, _ in _pair_terms(
         g, x, y, near, np.array([0.0]), np.array([1.0]))])
     assert np.array_equal(np.sort(m), np.sort(mj))
+
+
+def _assert_real_matches_complex(x, y, near, w):
+    """Real row and column against the complex call on the same vector;
+    on equal grids, also -(w @ C) against C @ w."""
+    lc, cr = _cauchy_sums(x, y, near, w[None, :], w[:, None])
+    assert lc.dtype == cr.dtype == np.float64
+    ref_lc, ref_cr = _cauchy_sums(x, y, near, w[None, :] + 0j, w[:, None] + 0j)
+    c_col, c_row = _kernel_bounds(x, y, near)
+    scale = np.sum(np.abs(w))
+    assert np.all(np.abs(lc[0] - ref_lc[0]) <= RTOL_REAL * scale * c_col)
+    assert np.all(np.abs(cr[:, 0] - ref_cr[:, 0]) <= RTOL_REAL * scale * c_row)
+    assert np.array_equal(_cauchy_sums(x, y, near, w[None, :]), lc)
+    if np.array_equal(x, y):
+        # The eta = 1 row's shortcut: C is antisymmetric, so C w = -(w C).
+        assert np.all(np.abs(cr[:, 0] + lc[0]) <= RTOL_REAL * scale * c_row)
+
+
+@pytest.mark.parametrize("n", [1, 2, 89, 700, 1500])
+def test_real_sides_on_equal_grids(n):
+    rng = np.random.default_rng(n + 40)
+    x, y = _af_row(np.arange(n) - n // 2.0, 1.0)
+    _assert_real_matches_complex(x, y, 1e-3, rng.standard_normal(n))
+
+
+def test_real_sides_on_equal_grids_with_wide_near_band():
+    # Equal grids that take the tiled branch.
+    rng = np.random.default_rng(44)
+    x, y = _af_row(np.arange(300) - 150.0, 1.0)
+    _assert_real_matches_complex(x, y, 5.0, rng.standard_normal(300))
+
+
+@pytest.mark.parametrize("eta", [1 - 2.7e-2, 1 - 1e-5, 1 + 1e-5, 1 + 2.7e-2])
+@pytest.mark.parametrize("n", [1, 300, 1100])
+def test_real_sides_on_doppler_rows(eta, n):
+    rng = np.random.default_rng(n + 41)
+    x, y = _af_row(np.arange(n) - n // 2.0, eta)
+    _assert_real_matches_complex(x, y, 0.02, rng.standard_normal(n))

@@ -302,6 +302,24 @@ class TestSpectrum:
         with pytest.raises(ParameterError):
             Spectrum(freqs=np.arange(4.0), values=np.ones(3), df=1.0)
 
+    @pytest.mark.parametrize("df", [-1.0, 0.0, np.nan, np.inf, None, True])
+    def test_df_must_be_finite_positive(self, df):
+        # df = -1 once gave spectral_efficiency 0.25 on a band that
+        # bandwidth_98 called undefined.
+        with pytest.raises(ParameterError, match="df"):
+            Spectrum(freqs=np.arange(8.0), values=np.ones(8), df=df)
+
+    @pytest.mark.parametrize("freqs, values", [
+        (np.arange(8.0).reshape(2, 4), np.ones((2, 4))),
+        (np.arange(4.0), np.ones((4, 1))),
+        (np.array(1.0), np.array(1.0)),
+    ])
+    def test_spectrum_must_be_1d(self, freqs, values):
+        # A 2 x 4 spectrum once made bandwidth_98 raise numpy's bare
+        # "truth value of an array is ambiguous".
+        with pytest.raises(ParameterError, match="1-D"):
+            Spectrum(freqs=freqs, values=values, df=1.0)
+
     def test_power_db_floor(self):
         sp = Spectrum(
             freqs=np.arange(3.0), values=np.array([1.0, 0.0, 1e-30]), df=1.0
@@ -321,3 +339,23 @@ class TestSpectrum:
         sig = SampledSignal(np.exp(2j * np.pi * f * t), fs, t0=t0).normalized()
         sp = spectrum_of(sig)
         assert sp.energy == pytest.approx(1.0, rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# CSV writer
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])
+def test_write_columns_is_repr_per_row(tmp_path, end):
+    # The one-pass template writes what formatting each value by repr, row
+    # by row, writes: signed zeros, non-finite values, extremes and ints.
+    cols = [np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-310, 1.7e308]),
+            np.array([1, -2, 3, 0, 5, 6, 7]),
+            np.linspace(-1.0, 1.0, 7) / 3.0]
+    path = tmp_path / "out.csv"
+    signal_core._write_columns(path, "a,b,c", cols, end)
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in cols))
+    want = "a,b,c" + end + "".join(",".join(map(repr, r)) + end for r in rows)
+    assert path.read_bytes() == want.encode()
+    signal_core._write_columns(path, "a", [np.array([])], end)
+    assert path.read_bytes() == ("a" + end).encode()
