@@ -547,9 +547,9 @@ def acf(sig: SampledSignal, delays) -> AmbiguityCut:
 # Coefficients below this magnitude are dropped from the double series.
 _PRUNE = 1e-8
 
-# A support counts as a whole number of periods, and its start as on a half
-# period, when f0 T and 2 f0 ta are this many ulp or fewer from integers:
-# the roundings of f0 = 1 / T or f_m = cycles / T and of the product.
+# A support counts as a whole number of periods when f0 T is this many ulp
+# or fewer from an integer: the roundings of f0 = 1 / T or f_m = cycles / T
+# and of the product.
 _WHOLE_ULPS = 4
 
 
@@ -586,8 +586,7 @@ def _closed_af_points(
     kernel once per row, to two rows and two columns.  A whole-period
     series (:func:`_whole_period_spin`) needs one real vector w = g spin
     instead: A(s) = exp(2j pi fc_eff (1 - eta) s) w at both edges and
-    R(s / eta) = w, so the kernel takes w as a real row and column, and on
-    the eta = 1 row one real convolution gives both, as C w = -(w C).
+    R(s / eta) = w, so the kernel takes w as a real row and column.
     Each delay then needs one sum sum_m c_m exp(j a (x0 + h m)) per end
     over orders whose frequencies are an arithmetic progression, which
     :func:`_progression_sums` takes from two tables of about sqrt(M)
@@ -625,7 +624,7 @@ def _closed_af_points(
     span = slice(kept[0], kept[-1] + 1)
     g = np.where(keep[span], c.values[span], 0.0)
     orders = c.orders[span].astype(float)
-    spin = _whole_period_spin(betas, f0, ta, tb, orders)
+    spin = _whole_period_spin(f0, ta, tb, orders)
     if spin is not None:
         # Real betas have real coefficients: drop the FFT's rounding residue.
         g = g.real + 0j
@@ -663,13 +662,8 @@ def _closed_af_points(
         else:
             # A(s) = exp(2j pi shift s) w and R(s / eta) = w at either edge.
             w = g.real * spin
-            if eta == 1.0:
-                # x = y, so C is antisymmetric: C w = -(w C).
-                wc = _cauchy_sums(x, y, near, w[None, :])[0]
-                cw = -wc
-            else:
-                wc, cw = _cauchy_sums(x, y, near, w[None, :], w[:, None])
-                wc, cw = wc[0], cw[:, 0]
+            wc, cw = _cauchy_sums(x, y, near, w[None, :], w[:, None])
+            wc, cw = wc[0], cw[:, 0]
             u = np.outer(np.exp(2j * np.pi * shift * edges), wc * g)
             v = np.broadcast_to((cw * g)[:, None], (len(g), 2))
         for b0 in range(0, len(rows), batch):
@@ -695,20 +689,20 @@ def _closed_af_points(
     return out
 
 
-def _whole_period_spin(betas, f0, ta, tb, orders):
+def _whole_period_spin(f0, ta, tb, orders):
     """exp(2j pi f0 n ta), +-1 at each order n, for a whole-period series.
 
-    A series is whole-period when its betas are real and [ta, tb] spans a
-    whole number of periods 1 / f0 from a start on a half period: every
-    even gsfm, and an sfm whose f_m T is whole.  Otherwise None.
+    A series is whole-period when [ta, tb] spans a whole number of periods
+    1 / f0 (to ``_WHOLE_ULPS``): every even gsfm, and an sfm whose f_m T is
+    whole.  Otherwise None.  The identity behind it also needs real betas
+    and a start ta on a half period; every :func:`harmonic_series` series
+    has both, since its betas are real and its 2 f0 ta is 0 or exactly
+    -f0 T.
     """
-    cycles, start = f0 * (tb - ta), 2.0 * f0 * ta
-    if np.iscomplexobj(betas) or not all(
-        abs(v - np.rint(v)) <= _WHOLE_ULPS * np.spacing(abs(v))
-        for v in (cycles, start)
-    ):
+    cycles = f0 * (tb - ta)
+    if abs(cycles - np.rint(cycles)) > _WHOLE_ULPS * np.spacing(cycles):
         return None
-    return 1.0 - 2.0 * (np.rint(start) * orders % 2.0)
+    return 1.0 - 2.0 * (np.rint(2.0 * f0 * ta) * orders % 2.0)
 
 
 def _progression_sums(

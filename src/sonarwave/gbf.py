@@ -205,15 +205,15 @@ def _cauchy_sums(x, y, near, left, right=None):
     progression; without ``right``, only ``left @ C``.  Pairs with
     |x_n - y_m| < ``near`` get C = 0; callers add them as exact terms
     (:func:`_pair_terms`).  This is the one place the kernel is applied.
-    Real sides (both real, or ``left`` real without ``right``) give real
-    products at half the work: the tile products take them as they are,
-    and the convolution is an rfft.  A complex side is applied as its real
-    and imaginary parts.
+    C is real, so it only ever meets real sides: complex sides are split
+    once into their real and imaginary parts and the products merged back
+    at the end, and real sides (a whole-period closed AF's) give real
+    products at half the work.
 
     When x and y are equal and their step is at least ``near``, the pairs
     left out are exactly the diagonal and C_nm = kappa(n - m) is Toeplitz
     and antisymmetric, with kappa(k) = 1 / (pi h k) at step h and
-    kappa(0) = 0, so both products are one FFT convolution.  Otherwise C is
+    kappa(0) = 0, so both products are one real FFT convolution.  Otherwise C is
     built in tiles of ``_TILE`` doubles over both n and m, each by one
     exact rank-2 product (x_n - y_m rounded once, as a subtraction rounds
     it) with its left-out pairs found on that tile alone, and
@@ -222,7 +222,13 @@ def _cauchy_sums(x, y, near, left, right=None):
     columns the sides hold, and no pass holds more than a tile's pairs.
     """
     n_count, m_count = len(x), len(y)
-    real = not (np.iscomplexobj(left) or np.iscomplexobj(right))
+    split = np.iscomplexobj(left) or np.iscomplexobj(right)
+    if split:
+        l_count = len(left)
+        left = np.concatenate([left.real, left.imag])
+        if right is not None:
+            r_count = right.shape[1]
+            right = np.concatenate([right.real, right.imag], axis=1)
     if np.array_equal(x, y) and np.all(np.diff(x) >= near):
         h = (x[-1] - x[0]) / max(n_count - 1, 1)
         size = _fast_len(2 * n_count - 1)
@@ -232,50 +238,41 @@ def _cauchy_sums(x, y, near, left, right=None):
         sides = left if right is None else np.concatenate([left, right.T])
         # sum_n left_n C_nm = -(kappa * left)_m and sum_m C_nm right_m =
         # (kappa * right)_n, by antisymmetry.
-        if real:
-            conv = np.fft.irfft(
-                np.fft.rfft(sides, size) * np.fft.rfft(kappa), size)
-        else:
-            conv = np.fft.ifft(np.fft.fft(sides, size) * np.fft.fft(kappa))
+        conv = np.fft.irfft(
+            np.fft.rfft(sides, size) * np.fft.rfft(kappa), size)
         lc = -conv[: len(left), :n_count]
-        if right is None:
-            return lc
         # A copy, so that no view holds the whole convolution while the
         # caller works.
-        return lc, conv[len(left) :, :n_count].T.copy()
-    side = left if real else np.concatenate([left.real, left.imag])
-    lc = np.zeros((len(side), m_count))
-    if right is not None:
-        other = (right if real
-                 else np.concatenate([right.real, right.imag], axis=1))
-        cr = np.zeros((n_count, other.shape[1]))
-    cols = min(m_count, max(_TILE_SIDE, _TILE // n_count)) or 1
-    rows = min(n_count, _TILE // cols)
-    buf = np.empty(rows * cols)
-    # x_n - y_m = [x_n, -1] @ [1; y_m]: both products are exact, so the
-    # rank-2 product rounds once, to np.subtract.outer's values, in 27 us
-    # a 256 x 256 tile against 68-72 us to broadcast and subtract.
-    xs = np.stack([x, -np.ones(n_count)], axis=1)
-    ys = np.stack([np.ones(m_count), y])
-    for n0 in range(0, n_count, rows):
-        xb = x[n0 : n0 + rows]
-        for m0 in range(0, m_count, cols):
-            yb = y[m0 : m0 + cols]
-            kern = buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
-            np.matmul(xs[n0 : n0 + rows], ys[:, m0 : m0 + cols], out=kern)
-            if yb[0] < xb[-1] + near and yb[-1] > xb[0] - near:
-                kern[_singular_pairs(xb, yb, near)] = np.inf
-            np.divide(1.0 / np.pi, kern, out=kern)
-            lc[:, m0 : m0 + cols] += side[:, n0 : n0 + rows] @ kern
-            if right is not None:
-                cr[n0 : n0 + rows] += kern @ other[m0 : m0 + cols]
-    if real:
-        return lc if right is None else (lc, cr)
-    lc = lc[: len(left)] + 1j * lc[len(left) :]
-    if right is None:
-        return lc
-    r = right.shape[1]
-    return lc, cr[:, :r] + 1j * cr[:, r:]
+        cr = None if right is None else conv[len(left) :, :n_count].T.copy()
+    else:
+        lc = np.zeros((len(left), m_count))
+        if right is not None:
+            cr = np.zeros((n_count, right.shape[1]))
+        cols = min(m_count, max(_TILE_SIDE, _TILE // n_count)) or 1
+        rows = min(n_count, _TILE // cols)
+        buf = np.empty(rows * cols)
+        # x_n - y_m = [x_n, -1] @ [1; y_m]: both products are exact, so the
+        # rank-2 product rounds once, to np.subtract.outer's values, in 27 us
+        # a 256 x 256 tile against 68-72 us to broadcast and subtract.
+        xs = np.stack([x, -np.ones(n_count)], axis=1)
+        ys = np.stack([np.ones(m_count), y])
+        for n0 in range(0, n_count, rows):
+            xb = x[n0 : n0 + rows]
+            for m0 in range(0, m_count, cols):
+                yb = y[m0 : m0 + cols]
+                kern = buf[: len(xb) * len(yb)].reshape(len(xb), len(yb))
+                np.matmul(xs[n0 : n0 + rows], ys[:, m0 : m0 + cols], out=kern)
+                if yb[0] < xb[-1] + near and yb[-1] > xb[0] - near:
+                    kern[_singular_pairs(xb, yb, near)] = np.inf
+                np.divide(1.0 / np.pi, kern, out=kern)
+                lc[:, m0 : m0 + cols] += left[:, n0 : n0 + rows] @ kern
+                if right is not None:
+                    cr[n0 : n0 + rows] += kern @ right[m0 : m0 + cols]
+    if split:
+        lc = lc[:l_count] + 1j * lc[l_count:]
+        if right is not None:
+            cr = cr[:, :r_count] + 1j * cr[:, r_count:]
+    return lc if right is None else (lc, cr)
 
 
 def _pair_terms(g1, x, y, near, t1, t2):

@@ -11,8 +11,7 @@ eta > 1, pruned orders embedded at weight 0, N = 1 and M = 1, sizes that
 are no multiple of the tile side, tiles that straddle the band of
 left-out pairs, and a closed spectrum's lines against a grid that hits
 them.  Real sides, as whole-period closed-AF rows pass, must equal the
-complex call on the same vectors to ``RTOL_REAL`` in both branches, and on
-equal grids -(w @ C) must equal C @ w, the eta = 1 row's shortcut.
+complex call on the same vectors to ``RTOL_REAL`` in both branches.
 """
 
 import tracemalloc
@@ -237,8 +236,7 @@ def test_left_out_pairs_are_the_exact_pairs(eta):
 
 
 def _assert_real_matches_complex(x, y, near, w):
-    """Real row and column against the complex call on the same vector;
-    on equal grids, also -(w @ C) against C @ w."""
+    """Real row and column against the complex call on the same vector."""
     lc, cr = _cauchy_sums(x, y, near, w[None, :], w[:, None])
     assert lc.dtype == cr.dtype == np.float64
     ref_lc, ref_cr = _cauchy_sums(x, y, near, w[None, :] + 0j, w[:, None] + 0j)
@@ -247,9 +245,6 @@ def _assert_real_matches_complex(x, y, near, w):
     assert np.all(np.abs(lc[0] - ref_lc[0]) <= RTOL_REAL * scale * c_col)
     assert np.all(np.abs(cr[:, 0] - ref_cr[:, 0]) <= RTOL_REAL * scale * c_row)
     assert np.array_equal(_cauchy_sums(x, y, near, w[None, :]), lc)
-    if np.array_equal(x, y):
-        # The eta = 1 row's shortcut: C is antisymmetric, so C w = -(w C).
-        assert np.all(np.abs(cr[:, 0] + lc[0]) <= RTOL_REAL * scale * c_row)
 
 
 @pytest.mark.parametrize("n", [1, 2, 89, 700, 1500])
