@@ -7,22 +7,23 @@ The wideband matched-filter response is
 with Doppler scale eta = (1 + v/c)/(1 - v/c).  Numeric surfaces are computed
 in the frequency domain, chi = eta^-1/2 int S(f) conj(S(f/eta))
 exp(-2j pi f tau) df: the spectrum once by FFT, each row's scaled spectrum
-exactly by a chirp-z transform, and one FFT per row back to delay; a row
-whose reciprocal is another row reads that row's result.  Every row, the
-zero-Doppler row of :func:`acf` too, is exact at the sample lags and
-interpolates chi demodulated by the spectral centroid between them.  The
-rectangular SFM and gsfm admit Bessel/generalized-Bessel series closed
-forms that this module evaluates through the same coefficient machinery.
+exactly by a chirp-z transform, and one FFT per row back to delay.  Both
+AF paths fold their points first (:func:`_folded`) and take one transform
+or kernel per distinct folded Doppler row.  Every row, the zero-Doppler
+row of :func:`acf` too, is exact at the sample lags and interpolates chi
+demodulated by the spectral centroid between them.  The rectangular SFM
+and gsfm admit Bessel/generalized-Bessel series closed forms that this
+module evaluates through the same coefficient machinery.
 
 The closed form is a double series over Bessel orders (n, m) of terms
 g1_n g2_m int exp(2j pi mu_nm t) dt over the support overlap [t1, t2],
 where mu_nm = x_n - y_m separates into one frequency per order.  Its
-Cauchy kernel 1 / (pi mu_nm) is applied once per Doppler row, or per
-reciprocal pair of rows, by :func:`sonarwave.gbf._cauchy_sums`, the
-routine the closed spectra share: by one FFT convolution on the eta = 1
-row, where x = y, and in tiles on the others.  A series spanning whole
-periods of its fundamental (every even gsfm, and an sfm with whole f_m T)
-hands it one real vector, complex rows and columns otherwise.
+Cauchy kernel 1 / (pi mu_nm) is applied once per distinct folded Doppler
+row by :func:`sonarwave.gbf._cauchy_sums`, the routine the closed spectra
+share: by one FFT convolution on the eta = 1 row, where x = y, and in
+tiles on the others.  A series spanning whole periods of its fundamental
+(every even gsfm, and an sfm with whole f_m T) hands it one real vector,
+complex rows and columns otherwise.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def _check_sound_speed(c) -> None:
 def doppler_eta(v: float, c: float = DEFAULT_SOUND_SPEED) -> float:
     """Doppler scale for closing speed v: (1 + v/c)/(1 - v/c)."""
     _check_sound_speed(c)
+    if not _is_number(v):
+        raise ParameterError(f"velocity v must be a finite number, got {v!r}")
     if abs(v) >= c:
         raise ParameterError(f"|v| must be below the sound speed {c}")
     return (1.0 + v / c) / (1.0 - v / c)
@@ -293,12 +296,9 @@ def _reciprocal_partners(etas: np.ndarray):
     """Rows eta_b < 1 whose reciprocal is within 2 ulp of a row eta_a > 1.
 
     Returns the indices of those rows and, for each, the index of the
-    first row holding its partner eta_a.  Since |chi(tau, eta)| =
-    |chi(-eta tau, 1 / eta)| (substitute u = eta (t + tau)), such a row is
-    read from its partner's at -tau / eta_a, and a grid symmetric in
-    velocity computes about half its rows.  2 ulp, because 1 /
-    doppler_eta(-v) is 1 ulp off doppler_eta(v) at some speeds (2.5, 6.5,
-    7.5 and 25 m/s among them).
+    first row holding its partner eta_a: the pairing rule of
+    :func:`_folded`.  2 ulp, because 1 / doppler_eta(-v) is 1 ulp off
+    doppler_eta(v) at some speeds (2.5, 6.5, 7.5 and 25 m/s among them).
     """
     hi = np.nonzero(etas > 1)[0]
     lo = np.nonzero(etas < 1)[0]
@@ -312,6 +312,27 @@ def _reciprocal_partners(etas: np.ndarray):
                     below, above)
     pair = np.abs(recip - values[near]) <= 2 * np.spacing(values[near])
     return lo[pair], hi[first[near[pair]]]
+
+
+def _folded(taus: np.ndarray, etas: np.ndarray):
+    """Copies of ``taus`` and ``etas`` with each reciprocal row folded.
+
+    Since |chi(tau, eta)| = |chi(-eta tau, 1 / eta)| (substitute u =
+    eta (t + tau)), a point on a row eta_b < 1 whose reciprocal is within
+    2 ulp of a row eta_a > 1 (:func:`_reciprocal_partners`) is moved to
+    (-tau / eta_a, eta_a).  A grid symmetric in velocity thus holds about
+    half as many distinct rows, and both AF paths take one transform or
+    kernel per distinct row; a grid symmetric in eta, such as 0.99:1.01,
+    holds no reciprocal pair.  ``etas`` holds one scale per entry of
+    ``taus``'s first axis: the points' own scales, or a column of row
+    scales against a rows x delays table.
+    """
+    taus = np.array(taus, dtype=float)
+    etas = np.array(etas, dtype=float)
+    folded, partner = _reciprocal_partners(etas.ravel())
+    taus[folded] = -taus[folded] / etas[partner]
+    etas[folded] = etas[partner]
+    return taus, etas
 
 
 def _af_rows(
@@ -335,16 +356,11 @@ def _af_rows(
     interpolated onto ``delays`` and only then taken in magnitude.  Cells
     outside a row's support are zero.
 
-    A row eta_b < 1 whose reciprocal is within 2 ulp of a row eta_a > 1
-    (:func:`_reciprocal_partners`) takes no transform of its own: since
-    |chi(tau, eta_b)| = |chi(-tau / eta_a, eta_a)|, it reads eta_a's
-    demodulated chi at -tau / eta_a, inside eta_a's support.  A grid
-    symmetric in velocity thus takes one chirp-z transform and one FFT per
-    +-v pair of rows.  A row equal to an earlier computed row copies that
-    row's result, and a folded row reads the first of equal partners.  The
-    lag window and the FFT length are sized over every row's own delays,
-    as without the fold, and widened only where a folded point falls
-    outside that window (a one-sided delay grid).
+    The rows are folded first (:func:`_folded`), and each distinct folded
+    scale takes one chirp-z transform and one FFT, read at every point on
+    its rows.  The lag window and the FFT length are sized over every
+    row's own delays and its folded points together, so the fold changes
+    neither.
 
     Every array as long as the FFT grid, a chirp-z transform or the lag
     window lives in one workspace, allocated once per call before the row
@@ -357,20 +373,20 @@ def _af_rows(
     """
     fs, t0, T = sig.sample_rate, sig.t0, sig.duration
     n = len(sig)
-    shift = (t0 + 0.5 / fs) * (1.0 / etas - 1.0)
+    taus, scales = _folded(
+        np.broadcast_to(delays, (len(etas), len(delays))), etas[:, None])
+    scales = scales[:, 0]
+    # Per-row arrays: the folded rows first, then the rows as given.
+    both = np.concatenate([scales, etas])
+    shift = (t0 + 0.5 / fs) * (1.0 / both - 1.0)
     # chi(., eta) vanishes outside the support overlap, tau in (lo, hi).
-    lo = t0 / etas - t0 - T
-    hi = (t0 + T) / etas - t0
-    first = np.clip(delays.min(), lo, hi) - shift
-    last = np.clip(delays.max(), lo, hi) - shift
-    # A folded row reads its partner a at -tau / eta_a: widen the window
-    # where those points fall outside it.
-    folded, a = _reciprocal_partners(etas)
-    if len(folded):
-        first = np.append(first, np.clip(-delays.max() / etas[a], lo[a],
-                                         hi[a]) - shift[a])
-        last = np.append(last, np.clip(-delays.min() / etas[a], lo[a],
-                                       hi[a]) - shift[a])
+    lo = t0 / both - t0 - T
+    hi = (t0 + T) / both - t0
+    # The delay window spans each row's folded points and its own delays.
+    low = np.append(taus.min(axis=1), np.full(len(etas), delays.min()))
+    high = np.append(taus.max(axis=1), np.full(len(etas), delays.max()))
+    first = np.clip(low, lo, hi) - shift
+    last = np.clip(high, lo, hi) - shift
     # The sample lags l0, l0 + 1, ... around the delay window.
     l0 = int(np.floor(first.min() * fs)) - 1
     count = int(np.ceil(last.max() * fs)) + 2 - l0
@@ -416,18 +432,8 @@ def _af_rows(
     np.multiply(lag_t, 2.0 * np.pi * fbar / fs, out=real[:count])
     _cis(real[:count], demod)
     lag_t /= fs
-    readers = {}
-    for b, i in zip(folded.tolist(), a.tolist()):
-        readers.setdefault(i, []).append(b)
-    skip = set(folded.tolist())
-    first_of = {}
-    for i, eta in enumerate(etas):
-        if i in skip:
-            continue
-        if eta in first_of:
-            out[i] = out[first_of[eta]]
-            continue
-        first_of[eta] = i
+    for eta in np.unique(scales):
+        rows = np.nonzero(scales == eta)[0]
         k0, scaled = 0, x
         if eta != 1.0:
             k0 = max(int(np.floor(eta * k_lo)), -half)
@@ -447,11 +453,10 @@ def _af_rows(
             chi[run] = spec[ring]
         chi *= df / fs**2 / np.sqrt(eta)
         chi *= demod
-        lags = np.add(lag_t, shift[i], out=real[:count])
-        for dst, at in [(i, delays)] + [(b, -delays / eta)
-                                        for b in readers.get(i, ())]:
-            inside = (at > lo[i]) & (at < hi[i])
-            out[dst, inside] = np.abs(np.interp(at[inside], lags, chi))
+        lags = np.add(lag_t, shift[rows[0]], out=real[:count])
+        for i in rows:
+            inside = (taus[i] > lo[i]) & (taus[i] < hi[i])
+            out[i, inside] = np.abs(np.interp(taus[i, inside], lags, chi))
     return out
 
 
@@ -461,13 +466,32 @@ def _carve(buf: np.ndarray, sizes) -> list:
     return [buf[e - m : e] for m, e in zip(sizes, ends)]
 
 
-def _finite_grid(values, name: str) -> np.ndarray:
-    """``values`` as a non-empty 1-D float array of finite numbers."""
-    grid = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ParameterError(f"{name} must be a non-empty 1-D grid of "
-                             "finite numbers")
-    return grid
+def _af_points(delays, etas):
+    """``delays`` and Doppler scales ``etas`` as float arrays.
+
+    The one input check of every AF entry point, surface or point API:
+    each delay must be finite, and each scale finite and positive.
+    """
+    try:
+        delays = np.asarray(delays, dtype=float)
+        etas = np.asarray(etas, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError("delays and Doppler scales must be finite "
+                             "real numbers") from None
+    if not np.all(np.isfinite(delays)):
+        raise ParameterError("delays must be finite numbers")
+    if not (np.all(np.isfinite(etas)) and np.all(etas > 0)):
+        raise ParameterError("Doppler scales eta must be finite and positive")
+    return delays, etas
+
+
+def _af_grid(delays, etas):
+    """:func:`_af_points` for a surface, whose axes are non-empty 1-D grids."""
+    delays, etas = _af_points(delays, etas)
+    for grid, name in ((delays, "delays"), (etas, "Doppler scales")):
+        if grid.ndim != 1 or grid.size == 0:
+            raise ParameterError(f"{name} must be a non-empty 1-D grid")
+    return delays, etas
 
 
 def _surface(delays, etas, mag, c, warnings=()) -> AmbiguitySurface:
@@ -496,17 +520,11 @@ def ambiguity_numeric(
 ) -> AmbiguitySurface:
     """Numeric broadband ambiguity surface (frequency-domain kernel).
 
-    Rows outside the Doppler bounds are zeroed first.  Of the rest, a row
-    eta_b < 1 whose reciprocal is another row eta_a (to 2 ulp) is read from
-    that row's transform at -tau / eta_a, so a grid symmetric in velocity
-    costs about half per non-unit row; a grid symmetric in eta, such as
-    0.99:1.01, holds no such pair.
+    Rows outside the Doppler bounds are zeroed first; the rest are folded
+    (:func:`_folded`) and take one transform per distinct row.
     """
     _check_sound_speed(c)
-    delays = _finite_grid(delays, "delays")
-    etas = _finite_grid(etas, "Doppler scales")
-    if not np.all(etas > 0):
-        raise ParameterError("Doppler scales eta must be positive")
+    delays, etas = _af_grid(delays, etas)
     warnings = []
     if np.max(np.abs(delays)) > sig.duration:
         warnings.append(
@@ -534,8 +552,8 @@ def acf(sig: SampledSignal, delays) -> AmbiguityCut:
     is divided by the signal's energy, which is |chi(0, 1)|, so it reads 1
     at tau = 0 and below 1 on delays that miss it; a zero signal gives 0.
     """
-    delays = _finite_grid(delays, "delays")
-    mag = _af_rows(sig, delays, np.ones(1))[0]
+    delays, etas = _af_grid(delays, np.ones(1))
+    mag = _af_rows(sig, delays, etas)[0]
     energy = sig.energy
     return AmbiguityCut(axis=delays, values=mag / energy if energy else mag)
 
@@ -582,21 +600,20 @@ def _closed_af_points(
     the real kernel C_nm = 1 / (pi mu_nm).  Within one Doppler row each end
     is either a support edge s for a given delay (fixed: A(s) C is the same
     for every delay) or s / eta - tau (moving: tau + t = s / eta, so
-    C R(s / eta) is).  :func:`sonarwave.gbf._cauchy_sums` thus applies the
-    kernel once per row, to two rows and two columns.  A whole-period
-    series (:func:`_whole_period_spin`) needs one real vector w = g spin
-    instead: A(s) = exp(2j pi fc_eff (1 - eta) s) w at both edges and
-    R(s / eta) = w, so the kernel takes w as a real row and column.
+    C R(s / eta) is).  With shift = fc_eff (1 - eta), A(s) = exp(2j pi
+    shift s) v(s) and R(s / eta) = conj(v(s)) for v_n(s) = g_n exp(2j pi
+    f0 n s), a side that does not depend on the row: one call of
+    :func:`sonarwave.gbf._cauchy_sums` per row applies the kernel to the
+    rows v(tb), v(ta) and to their conjugates as columns.  A whole-period
+    series (:func:`_whole_period_spin`) has v(tb) = v(ta) = g spin, one
+    real vector, so the kernel takes it as one real row and column.
     Each delay then needs one sum sum_m c_m exp(j a (x0 + h m)) per end
     over orders whose frequencies are an arithmetic progression, which
     :func:`_progression_sums` takes from two tables of about sqrt(M)
-    phasors per delay.  Rows come in reciprocal pairs
-    on a grid symmetric in velocity, and |chi(tau, eta)| =
-    |chi(-eta tau, 1 / eta)| (substitute u = eta (t + tau)), so each point
-    on a row eta_b < 1 whose reciprocal is within 2 ulp of a row eta_a > 1
-    is first moved to (-tau / eta_a, eta_a).  A reciprocal pair of rows
-    thus costs O(N M) whatever the number of delays, and the eta = 1 row,
-    where x = y and C is Toeplitz, one FFT convolution.  The orders are the
+    phasors per delay.  The points are folded first (:func:`_folded`),
+    so a reciprocal pair of rows costs one kernel, O(N M) whatever the
+    number of delays, and the eta = 1 row, where x = y and C is
+    Toeplitz, one FFT convolution.  The orders are the
     consecutive range from the first to the last coefficient above
     ``_PRUNE``, with weight 0 on the pruned ones inside it, so both x and y
     are arithmetic progressions.  Pairs with |mu_nm| times the row's longest
@@ -606,16 +623,7 @@ def _closed_af_points(
     coefficients need orders beyond the truncation rule's cap.
     """
     T = tb - ta
-    # Copies: the fold below rewrites points in place.
-    taus = np.array(taus, dtype=float).ravel()
-    etas = np.array(etas, dtype=float).ravel()
-    if not np.all(etas > 0):
-        raise ParameterError("Doppler scales eta must be positive")
-    # Fold each point on a row eta_b < 1 with a reciprocal partner eta_a:
-    # |chi(tau, eta_b)| = |chi(-tau / eta_a, eta_a)|.
-    folded, partner = _reciprocal_partners(etas)
-    taus[folded] = -taus[folded] / etas[partner]
-    etas[folded] = etas[partner]
+    taus, etas = _folded(np.ravel(taus), np.ravel(etas))
     c = gbf_coeffs(betas)
     # The kernel needs consecutive orders: keep the range from the first to
     # the last kept order, with weight 0 on the pruned orders inside it.
@@ -624,10 +632,17 @@ def _closed_af_points(
     span = slice(kept[0], kept[-1] + 1)
     g = np.where(keep[span], c.values[span], 0.0)
     orders = c.orders[span].astype(float)
+    # The kernel's sides v(s) at the ends t2 (at tb) and t1 (at ta): ends
+    # picks each end's row of the sides.
+    edges = np.array([tb, ta])
     spin = _whole_period_spin(f0, ta, tb, orders)
-    if spin is not None:
+    if spin is None:
+        sides = g * np.exp(2j * np.pi * np.outer(edges, f0 * orders))
+        ends = [0, 1]
+    else:
         # Real betas have real coefficients: drop the FFT's rounding residue.
         g = g.real + 0j
+        sides, ends = (g.real * spin)[None, :], [0, 0]
     gc = np.conj(g)
 
     # Exact support overlap of s(t) and s(eta (t + tau)).
@@ -647,25 +662,12 @@ def _closed_af_points(
         x = shift + f0 * orders
         h = f0 * eta
         y = h * orders
-        # Shared factors of the ends t2 (at tb) and t1 (at ta): A(s) C for
-        # the delays that find an end at its edge s, C R(s / eta) for the
-        # others.
-        edges = np.array([tb, ta])
+        # Shared factors of both ends: A(s) C for the delays that find an
+        # end at its edge s, C R(s / eta) for the others.
         near = _SINGULAR / np.max(length[rows])
-        if spin is None:
-            u, v = _cauchy_sums(
-                x, y, near, g * np.exp(2j * np.pi * np.outer(edges, x)),
-                (gc * np.exp(-2j * np.pi * np.outer(edges / eta, y))).T,
-            )
-            u *= gc
-            v *= g[:, None]
-        else:
-            # A(s) = exp(2j pi shift s) w and R(s / eta) = w at either edge.
-            w = g.real * spin
-            wc, cw = _cauchy_sums(x, y, near, w[None, :], w[:, None])
-            wc, cw = wc[0], cw[:, 0]
-            u = np.outer(np.exp(2j * np.pi * shift * edges), wc * g)
-            v = np.broadcast_to((cw * g)[:, None], (len(g), 2))
+        wc, cw = _cauchy_sums(x, y, near, sides, np.conj(sides).T)
+        u = np.exp(2j * np.pi * shift * edges)[:, None] * (wc[ends] * gc)
+        v = cw[:, ends] * g[:, None]
         for b0 in range(0, len(rows), batch):
             sel = rows[b0 : b0 + batch]
             tau = taus[sel]
@@ -731,10 +733,8 @@ def _progression_sums(
 
 def _closed_af(spec: WaveformSpec, model: FourierPhaseModel | None, tau, eta):
     """Closed-form |chi| at broadcast (tau, eta) for any closed-form spec."""
+    tau_b, eta_b = np.broadcast_arrays(*_af_points(tau, eta))
     series = harmonic_series(spec, model)
-    tau_b, eta_b = np.broadcast_arrays(
-        np.asarray(tau, dtype=float), np.asarray(eta, dtype=float)
-    )
     out = _closed_af_points(*series, tau_b.ravel(), eta_b.ravel())
     out = out.reshape(tau_b.shape)
     return float(out) if out.ndim == 0 else out
@@ -765,13 +765,11 @@ def closed_af_surface(
 ) -> AmbiguitySurface:
     """Full closed-form surface for a rectangular sfm or even gsfm spec.
 
-    A row whose reciprocal is another row of ``etas`` (to 2 ulp) shares
-    that row's Cauchy kernel, so a grid symmetric in velocity costs about
-    half per non-unit row.
+    The rows are folded (:func:`_folded`) and take one Cauchy kernel per
+    distinct row.
     """
     _check_sound_speed(c)
-    delays = _finite_grid(delays, "delays")
-    etas = _finite_grid(etas, "Doppler scales")
+    delays, etas = _af_grid(delays, etas)
     tt, ee = np.meshgrid(delays, etas)
     return _surface(delays, etas, _closed_af(spec, model, tt, ee), c)
 
@@ -794,8 +792,9 @@ def mainlobe_width(cut: AmbiguityCut, level_db: float) -> WidthResult:
     interpolated between samples; if the cut never drops below the level
     the full axis span is returned with ``crossed=False``.
     """
-    if level_db <= 0:
-        raise ParameterError("level_db must be positive")
+    if not (_is_number(level_db) and level_db > 0):
+        raise ParameterError(
+            f"level_db must be finite and positive, got {level_db!r}")
     v = cut.values
     x = cut.axis
     ip = int(np.argmax(v))

@@ -245,8 +245,9 @@ def gsfm_spectrum_closed(
 
 def energy_efficiency(e_w: float, e_ref: float) -> float:
     """10 log10(E_w / E_ref)."""
-    if e_w <= 0 or e_ref <= 0:
-        raise ParameterError("energies must be positive")
+    if not all(_is_number(e) and e > 0 for e in (e_w, e_ref)):
+        raise ParameterError(
+            f"energies must be finite and positive, got {e_w!r}, {e_ref!r}")
     return float(10.0 * np.log10(e_w / e_ref))
 
 

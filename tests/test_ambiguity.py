@@ -91,6 +91,12 @@ class TestDopplerEta:
         with pytest.raises(ParameterError):
             doppler_eta(1500.0)
 
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf, "10"])
+    def test_non_finite_velocity(self, v):
+        # nan used to pass the speed bound and come back as a nan scale.
+        with pytest.raises(ParameterError, match="finite"):
+            doppler_eta(v)
+
     def test_velocity_overflow(self):
         # c (eta - 1) beyond the float range used to come back as inf.
         for eta, c in ((1e300, 1e39), (-1.0, 1500.0)):
@@ -364,6 +370,19 @@ class TestClosedForms:
             with pytest.raises(ParameterError):
                 sfm_af_closed(self.SFM, 0.0, eta)
 
+    @pytest.mark.parametrize("tau, eta", [(np.nan, 1.0), (np.inf, 1.0),
+                                          (0.0, np.inf), (-np.inf, 0.99),
+                                          ("x", 1.0), (0.0, 1j)])
+    def test_point_api_refuses_non_finite_points(self, tau, eta):
+        # The check the surfaces make: a nan delay and an infinite scale
+        # used to come back as |chi| = 0, and a delay that is no number
+        # raised numpy's ValueError.
+        for taus in (tau, np.array([0.0, tau])):
+            with pytest.raises(ParameterError, match="finite"):
+                sfm_af_closed(self.SFM, taus, eta)
+            with pytest.raises(ParameterError, match="finite"):
+                gsfm_af_closed(self.GSFM, None, taus, eta)
+
     def test_order_cap_refuses_before_allocating(
         self, huge_order_sfm, no_allocation
     ):
@@ -451,8 +470,10 @@ class TestCutStatistics:
         assert peak_sidelobe(self.triangle_cut()) == float("-inf")
 
     def test_invalid_level(self):
-        with pytest.raises(ParameterError):
-            mainlobe_width(self.triangle_cut(), 0.0)
+        # nan used to give WidthResult(width=nan, crossed=True).
+        for level in (0.0, np.nan, np.inf):
+            with pytest.raises(ParameterError, match="level_db"):
+                mainlobe_width(self.triangle_cut(), level)
 
 
 class TestSurfaceIO:

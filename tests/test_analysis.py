@@ -394,8 +394,10 @@ class TestEnergyEfficiency:
     def test_trivials(self):
         assert energy_efficiency(1.0, 1.0) == 0.0
         assert energy_efficiency(0.5, 1.0) == pytest.approx(-3.0103, abs=1e-3)
-        with pytest.raises(ParameterError):
-            energy_efficiency(0.0, 1.0)
+        # nan used to come back as a nan efficiency.
+        for args in ((0.0, 1.0), (np.nan, 1.0), (1.0, np.inf)):
+            with pytest.raises(ParameterError, match="positive"):
+                energy_efficiency(*args)
 
     def test_hann_bpsk_drive_vs_gsfm_drive(self):
         # Peak-normalized drive energies differ by roughly the PAPR gap.

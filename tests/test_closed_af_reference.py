@@ -21,7 +21,7 @@ the kernel to one real vector; it must match the reference, and the
 complex path it replaces to ``RTOL_WHOLE`` of the peak, on drawn specs at
 both sfm symmetries, on specs whose f0 T is one ulp off a whole number,
 while a fractional-cycle sfm keeps the complex path.  The two paths round
-the support-end phases 2 pi x_n s differently, so they differ at the level
+the support-end phases 2 pi f0 n s differently, so they differ at the level
 of either one's distance to the reference: over 240 draws from these
 ranges on these grids the largest gap was 2.3e-13 of the peak, and each
 path stayed within 4e-13 of the reference.
@@ -192,6 +192,27 @@ def _assert_path(spec, v, whole):
                                return_value=None):
             old = _closed_af_points(*args, tt, ee)
         assert np.max(np.abs(new - old)) <= RTOL_WHOLE * old.max()
+
+
+@pytest.mark.parametrize("cycles", [5.0, 4.37])
+def test_one_kernel_per_distinct_folded_row(cycles):
+    # eta(v) twice, 1 twice and eta(-v) once: eta(-v) folds onto eta(v),
+    # so the whole-period (5 cycles) and the fractional path each apply
+    # the kernel once per distinct folded row, and a repeated row equals
+    # its first.
+    spec = _sfm(0.37, cycles / 0.37, 12.0)
+    taus = np.linspace(-0.37, 0.37, 21)
+    up, down = doppler_eta(20.0), doppler_eta(-20.0)
+    etas = np.array([up, 1.0, down, up, 1.0])
+    with mock.patch.object(
+        ambiguity, "_cauchy_sums", wraps=ambiguity._cauchy_sums
+    ) as kernel:
+        surf = ambiguity.closed_af_surface(spec, taus, etas)
+    assert kernel.call_count == 2
+    np.testing.assert_array_equal(surf.values[3:], surf.values[:2])
+    distinct = ambiguity.closed_af_surface(spec, taus, etas[:3])
+    np.testing.assert_allclose(surf.values[:3], distinct.values,
+                               rtol=0, atol=1e-14)
 
 
 def _sfm(T, f_m, beta, f_c=3100.0, even=True):
