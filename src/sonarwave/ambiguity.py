@@ -44,6 +44,7 @@ from .gbf import (
 from .signal_core import (
     ParameterError,
     SampledSignal,
+    _array,
     _fast_len,
     _is_number,
     _write_columns,
@@ -86,7 +87,7 @@ def doppler_eta(v: float, c: float = DEFAULT_SOUND_SPEED) -> float:
 def velocity_from_eta(eta, c: float = DEFAULT_SOUND_SPEED):
     """Inverse of doppler_eta: v = c (eta - 1)/(eta + 1)."""
     _check_sound_speed(c)
-    eta = np.asarray(eta, dtype=float)
+    eta = _array(eta, "Doppler scales eta", ndim=None)
     with np.errstate(all="ignore"):
         out = c * (eta - 1.0) / (eta + 1.0)
     if not np.all(np.isfinite(out)):
@@ -110,8 +111,8 @@ class AmbiguityCut:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "axis", np.asarray(self.axis, dtype=float))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        object.__setattr__(self, "axis", _array(self.axis, "cut axis"))
+        object.__setattr__(self, "values", _array(self.values, "cut values"))
         if self.axis.shape != self.values.shape:
             raise ParameterError("axis and values must have equal shape")
 
@@ -132,11 +133,8 @@ class AmbiguitySurface:
 
     def __post_init__(self):
         _check_sound_speed(self.c)
-        object.__setattr__(self, "delays", np.asarray(self.delays, dtype=float))
-        object.__setattr__(
-            self, "dopplers", np.asarray(self.dopplers, dtype=float)
-        )
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        for k, ndim in (("delays", 1), ("dopplers", 1), ("values", 2)):
+            object.__setattr__(self, k, _array(getattr(self, k), k, ndim=ndim))
         if self.values.shape != (len(self.dopplers), len(self.delays)):
             raise ParameterError(
                 "values must have shape (len(dopplers), len(delays))"
@@ -466,31 +464,19 @@ def _carve(buf: np.ndarray, sizes) -> list:
     return [buf[e - m : e] for m, e in zip(sizes, ends)]
 
 
-def _af_points(delays, etas):
+def _af_points(delays, etas, ndim=None):
     """``delays`` and Doppler scales ``etas`` as float arrays.
 
-    The one input check of every AF entry point, surface or point API:
-    each delay must be finite, and each scale finite and positive.
+    The one input check of every AF entry point: each delay must be finite,
+    and each scale finite and positive.  A surface's axes are non-empty 1-D
+    grids (``ndim`` = 1); the point API takes any shape.
     """
-    try:
-        delays = np.asarray(delays, dtype=float)
-        etas = np.asarray(etas, dtype=float)
-    except (TypeError, ValueError):
-        raise ParameterError("delays and Doppler scales must be finite "
-                             "real numbers") from None
+    delays = _array(delays, "delays", ndim=ndim)
+    etas = _array(etas, "Doppler scales", ndim=ndim)
     if not np.all(np.isfinite(delays)):
         raise ParameterError("delays must be finite numbers")
     if not (np.all(np.isfinite(etas)) and np.all(etas > 0)):
         raise ParameterError("Doppler scales eta must be finite and positive")
-    return delays, etas
-
-
-def _af_grid(delays, etas):
-    """:func:`_af_points` for a surface, whose axes are non-empty 1-D grids."""
-    delays, etas = _af_points(delays, etas)
-    for grid, name in ((delays, "delays"), (etas, "Doppler scales")):
-        if grid.ndim != 1 or grid.size == 0:
-            raise ParameterError(f"{name} must be a non-empty 1-D grid")
     return delays, etas
 
 
@@ -524,7 +510,7 @@ def ambiguity_numeric(
     (:func:`_folded`) and take one transform per distinct row.
     """
     _check_sound_speed(c)
-    delays, etas = _af_grid(delays, etas)
+    delays, etas = _af_points(delays, etas, ndim=1)
     warnings = []
     if np.max(np.abs(delays)) > sig.duration:
         warnings.append(
@@ -552,7 +538,7 @@ def acf(sig: SampledSignal, delays) -> AmbiguityCut:
     is divided by the signal's energy, which is |chi(0, 1)|, so it reads 1
     at tau = 0 and below 1 on delays that miss it; a zero signal gives 0.
     """
-    delays, etas = _af_grid(delays, np.ones(1))
+    delays, etas = _af_points(delays, np.ones(1), ndim=1)
     mag = _af_rows(sig, delays, etas)[0]
     energy = sig.energy
     return AmbiguityCut(axis=delays, values=mag / energy if energy else mag)
@@ -769,7 +755,7 @@ def closed_af_surface(
     distinct row.
     """
     _check_sound_speed(c)
-    delays, etas = _af_grid(delays, etas)
+    delays, etas = _af_points(delays, etas, ndim=1)
     tt, ee = np.meshgrid(delays, etas)
     return _surface(delays, etas, _closed_af(spec, model, tt, ee), c)
 

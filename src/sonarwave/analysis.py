@@ -16,6 +16,7 @@ from .signal_core import (
     ParameterError,
     SampledSignal,
     Spectrum,
+    _array,
     _held,
     _is_number,
     _is_uniform,
@@ -120,7 +121,7 @@ def bandwidth_98(
     """
     if not 0 < fraction <= 1:
         raise ParameterError("fraction must lie in (0, 1]")
-    if not (np.isfinite(tol_hz) and tol_hz > 0):
+    if not (_is_number(tol_hz) and tol_hz > 0):
         raise ParameterError("tol_hz must be finite and positive")
     table = _cumulative_energy(spec)
     edges = table[0]
@@ -143,8 +144,9 @@ def bandwidth_98(
 
 def carson_sfm(delta_f: float, f_m: float) -> float:
     """Carson rule for the SFM: 2 (beta + 1) f_m."""
-    if f_m <= 0:
-        raise ParameterError("f_m must be positive")
+    if not (_is_number(delta_f) and _is_number(f_m) and f_m > 0):
+        raise ParameterError(
+            f"need a finite delta_f and f_m > 0, got {delta_f!r}, {f_m!r}")
     beta = delta_f / (2.0 * f_m)
     return 2.0 * (beta + 1.0) * f_m
 
@@ -158,8 +160,12 @@ def carson_gsfm(
     (where |t| peaks at T/2); both conventions are exposed because the
     nonsymmetric one is the only one derived cleanly.
     """
-    if rho < 1:
-        raise ParameterError("rho must be >= 1")
+    args = (delta_f, alpha, rho, T)
+    if not (all(map(_is_number, args)) and rho >= 1 and T > 0):
+        raise ParameterError("need finite delta_f and alpha, rho >= 1 and "
+                             f"T > 0, got {args}")
+    if symmetry not in ("even", "nonsymmetric"):
+        raise ParameterError(f"unknown symmetry {symmetry!r}")
     t_eff = T / 2.0 if symmetry == "even" else T
     return delta_f + 2.0 * alpha * rho * t_eff ** (rho - 1.0)
 
@@ -196,14 +202,14 @@ def closed_spectrum(
     """
     betas, f0, fc_eff, ta, tb = harmonic_series(spec, model)
     c = gbf_coeffs(betas)
-    freqs = np.asarray(freqs, dtype=float)
+    freqs = _array(freqs, "frequency grid")
     T = spec.T
-    if (freqs.ndim != 1 or len(freqs) < 2 or not np.all(np.diff(freqs) > 0)
+    if (len(freqs) < 2 or not np.all(np.diff(freqs) > 0)
             or not _is_uniform(freqs)
             or freqs[1] - freqs[0] > 1.0 / (4.0 * T)):
         raise ParameterError(
-            "frequency grid must be 1-D, ascending and uniform, with at "
-            "least 4 points per 1/T"
+            "frequency grid must be ascending and uniform, with at least 4 "
+            "points per 1/T"
         )
     df = float(freqs[1] - freqs[0])
     lines = fc_eff + f0 * c.orders

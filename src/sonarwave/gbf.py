@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_core import ParameterError, _fast_len
+from .signal_core import ParameterError, _array, _fast_len
 
 
 class TruncationError(ParameterError):
@@ -131,11 +131,9 @@ def gbf_coeffs(betas, n_max: int | None = None, weights=None) -> GbfCoefficients
     ``weights`` multiply each harmonic before exponentiation.  The orders
     come from the truncation rule unless ``n_max`` (>= support_bound) is set.
     """
-    betas = np.asarray(betas, dtype=np.complex128)
-    if betas.ndim != 1 or len(betas) == 0:
-        raise ParameterError("betas must be a nonempty 1-D sequence")
+    betas = _array(betas, "betas", np.complex128)
     if weights is not None:
-        weights = np.asarray(weights, dtype=np.complex128)
+        weights = _array(weights, "weights", np.complex128, ndim=None)
         if weights.shape != betas.shape:
             raise ParameterError("weights must match betas in length")
         betas = betas * weights

@@ -30,6 +30,29 @@ def _is_number(value, kind=numbers.Real) -> bool:
         return False
 
 
+def _array(value, what: str, dtype=float, ndim: int | None = 1) -> np.ndarray:
+    """``value`` as an array of ``dtype``: the one check of the arrays the
+    public API takes.
+
+    Refused: a ragged sequence, entries that are not numbers (strings,
+    objects, bools), complex entries where ``dtype`` is real and, with
+    ``ndim`` given, another number of axes or no entries.  The checks read
+    the dtype and shape alone, so an array already of ``dtype`` costs O(1)
+    and comes back uncopied; entries are not scanned for finiteness.
+    """
+    real = np.dtype(dtype).kind != "c"
+    try:
+        a = np.asarray(value)
+        numeric = a.dtype.kind in ("iuf" if real else "iufc")
+    except (TypeError, ValueError):  # a ragged nest of sequences
+        numeric = False
+    if not numeric:
+        raise ParameterError(f"{what} must be finite {'real ' * real}numbers")
+    if ndim is not None and (a.ndim != ndim or a.size == 0):
+        raise ParameterError(f"{what} must be a non-empty {ndim}-D array")
+    return a.astype(dtype, copy=False)
+
+
 def _json_object(data, what: str, known, required=()) -> dict:
     """``data``, refused unless it is a JSON object (a dict) whose keys are
     all in ``known`` and include ``required``."""
@@ -89,18 +112,13 @@ class SampledSignal:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "samples", np.asarray(self.samples, dtype=np.complex128)
-        )
+            self, "samples", _array(self.samples, "samples", np.complex128))
         if not (_is_number(self.sample_rate) and self.sample_rate > 0):
             raise ParameterError(
                 f"sample_rate must be a finite positive number, got "
                 f"{self.sample_rate!r}")
         if not _is_number(self.t0):
             raise ParameterError(f"t0 must be a finite number, got {self.t0!r}")
-        if self.samples.ndim != 1:
-            raise ParameterError("samples must be 1-D")
-        if self.samples.size == 0:
-            raise ParameterError("samples must be nonempty")
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -142,15 +160,12 @@ class Spectrum:
     df: float
 
     def __post_init__(self):
-        object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
+        object.__setattr__(self, "freqs", _array(self.freqs, "freqs"))
         object.__setattr__(
-            self, "values", np.asarray(self.values, dtype=np.complex128)
-        )
+            self, "values", _array(self.values, "values", np.complex128))
         if not (_is_number(self.df) and self.df > 0):
             raise ParameterError(
                 f"df must be a finite positive number, got {self.df!r}")
-        if self.freqs.ndim != 1 or self.values.ndim != 1:
-            raise ParameterError("freqs and values must be 1-D")
         if len(self.freqs) != len(self.values):
             raise ParameterError("freqs and values must have equal length")
 
@@ -159,8 +174,13 @@ class Spectrum:
         return float(np.sum(np.abs(self.values) ** 2) * self.df)
 
     def power_db(self, floor_db: float = -300.0) -> np.ndarray:
+        """Power in dB relative to the peak bin, clipped below at
+        ``floor_db``; an all-zero spectrum has no peak and reads
+        ``floor_db`` in every bin."""
         p = np.abs(self.values) ** 2
         ref = p.max()
+        if ref == 0:
+            return np.full(p.shape, float(floor_db))
         with np.errstate(divide="ignore"):
             db = 10.0 * np.log10(p / ref)
         return np.maximum(db, floor_db)

@@ -19,6 +19,7 @@ from .analysis import energy_efficiency
 from .signal_core import (
     ParameterError,
     SampledSignal,
+    _array,
     _frozen,
     _held,
     _is_number,
@@ -43,7 +44,9 @@ class TransducerResponse:
     ``freqs``/``mag_db``/``phase_rad`` hold the stored curve; queries
     outside the stored grid continue at the fixed dB-per-octave rolloff.
     ``peak_gain_db`` is never positive: the chain is peak-power limited
-    and referenced to its own maximum.
+    and referenced to its own maximum.  The table must hold at least 2
+    rows of finite values, with strictly ascending ``freqs``; otherwise
+    :class:`FormatError` is raised.
     """
 
     mode: str
@@ -56,11 +59,18 @@ class TransducerResponse:
     flags: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "freqs", np.asarray(self.freqs, dtype=float))
-        object.__setattr__(self, "mag_db", np.asarray(self.mag_db, dtype=float))
-        object.__setattr__(
-            self, "phase_rad", np.asarray(self.phase_rad, dtype=float)
-        )
+        for k in ("freqs", "mag_db", "phase_rad"):
+            object.__setattr__(self, k,
+                               _array(getattr(self, k), f"response {k}"))
+        table = [self.freqs, self.mag_db, self.phase_rad]
+        if not len(table[0]) == len(table[1]) == len(table[2]) >= 2:
+            raise FormatError(
+                "response table needs at least 2 rows of equal length")
+        if not np.all(np.isfinite(table)):
+            raise FormatError("response table entries must be finite")
+        if np.any(np.diff(self.freqs) <= 0):
+            raise FormatError(
+                "response table frequencies must be distinct and ascending")
 
     @property
     def peak_gain_db(self) -> float:
@@ -80,7 +90,7 @@ class TransducerResponse:
 
     def magnitude_at(self, f) -> np.ndarray:
         """Magnitude in dB at arbitrary nonnegative frequencies."""
-        f = np.asarray(f, dtype=float)
+        f = _array(f, "frequencies", ndim=None)
         out = np.interp(f, self.freqs, self.mag_db)
         f_lo, f_hi = self.freqs[0], self.freqs[-1]
         with np.errstate(divide="ignore"):
@@ -103,7 +113,7 @@ class TransducerResponse:
 
     def response_at(self, f) -> np.ndarray:
         """Complex response at arbitrary nonnegative frequencies."""
-        f = np.asarray(f, dtype=float)
+        f = _array(f, "frequencies", ndim=None)
         mag = 10.0 ** (self.magnitude_at(f) / 20.0)
         phase = np.interp(f, self.freqs, self.phase_rad)
         # Phase beyond the stored grid continues linearly (constant group
@@ -210,26 +220,13 @@ def load_response_table(
                     raise FormatError(f"row {i}: non-numeric value ({exc})")
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"cannot read response table {path}: {exc}")
-    if len(rows) < 2:
-        raise FormatError("response table needs at least 2 rows")
-    arr = np.array(sorted(rows))
-    freqs, mag, phase = arr[:, 0], arr[:, 1], arr[:, 2]
-    if np.any(np.diff(freqs) <= 0):
-        raise FormatError("response table frequencies must be distinct")
-    if band[0] < freqs[0] or band[1] > freqs[-1]:
+    table = TransducerResponse("tabulated", f_r, band, 0.0,
+                               *np.array(sorted(rows)).reshape(-1, 3).T)
+    if band[0] < table.freqs[0] or band[1] > table.freqs[-1]:
         raise FormatError("operational band extends outside the table")
-    mag = mag - mag.max()  # peak-power reference
-    sel = (freqs >= band[0]) & (freqs <= band[1])
-    ripple = float(mag[sel].max() - mag[sel].min())
-    return TransducerResponse(
-        mode="tabulated",
-        f_r=f_r,
-        band=band,
-        ripple_db=ripple,
-        freqs=freqs,
-        mag_db=mag,
-        phase_rad=phase,
-    )
+    # peak-power reference
+    resp = replace(table, mag_db=table.mag_db - table.peak_gain_db)
+    return replace(resp, ripple_db=resp.in_band_ripple())
 
 
 def _parses_as_float(s: str) -> bool:
@@ -258,6 +255,9 @@ def equalize(
         )
     lo, hi = resp.band
     sel = (resp.freqs >= lo) & (resp.freqs <= hi)
+    if not np.any(sel):
+        raise FormatError(f"equalize: no response table row lies in the "
+                          f"band {lo!r} to {hi!r} Hz")
     ceiling = resp.mag_db[sel].min() + target_ripple_db
     mag = resp.mag_db.copy()
     mag[sel] = np.minimum(mag[sel], ceiling)

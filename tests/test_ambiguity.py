@@ -103,6 +103,13 @@ class TestDopplerEta:
             with pytest.raises(ParameterError, match="finite"):
                 velocity_from_eta(np.array([1.0, eta]), c)
 
+    @pytest.mark.parametrize("eta", [np.array([1.0, 1.01j]), 1.01j, "1.01",
+                                     [[1.0], [1.0, 1.01]]])
+    def test_velocity_of_scales_that_are_not_real(self, eta):
+        # A complex scale was cut to its real part, and a string parsed.
+        with pytest.raises(ParameterError, match="real numbers"):
+            velocity_from_eta(eta)
+
     @pytest.mark.parametrize("c", [0.0, -1500.0, float("nan"), float("inf"),
                                    True, "1500"])
     def test_sound_speed_checked(self, c, monkeypatch):
@@ -390,6 +397,33 @@ class TestClosedForms:
         with pytest.raises(TruncationError, match="cap"):
             closed_af_surface(spec, np.linspace(-0.1, 0.1, 3), np.ones(1))
 
+    @pytest.mark.parametrize("bad, scales", [
+        (np.array([0.0, 0.1j]), np.array([1.0, 1.0 + 0.01j])),
+        (["0.0", "0.1"], ["1.0", "1.01"]),
+        (np.array([0.0, 0.1], dtype=object), np.array([1.0], dtype=object)),
+    ])
+    def test_every_entry_point_refuses_arrays_that_are_not_real(
+        self, bad, scales
+    ):
+        # A complex array was cut to its real part, so the 0.1j delay read
+        # as 0 and the point API and both surfaces read [1, 1], and numeric
+        # strings were parsed as numbers.
+        sig = generate(self.SFM)
+        refused = [
+            lambda: sfm_af_closed(self.SFM, bad, 1.0),
+            lambda: sfm_af_closed(self.SFM, 0.0, scales),
+            lambda: gsfm_af_closed(self.GSFM, None, bad, 1.0),
+            lambda: gsfm_af_closed(self.GSFM, None, 0.0, scales),
+            lambda: closed_af_surface(self.SFM, bad, np.ones(1)),
+            lambda: closed_af_surface(self.SFM, np.zeros(1), scales),
+            lambda: ambiguity_numeric(sig, bad, np.ones(1)),
+            lambda: ambiguity_numeric(sig, np.zeros(1), scales),
+            lambda: acf(sig, bad),
+        ]
+        for call in refused:
+            with pytest.raises(ParameterError, match="real numbers"):
+                call()
+
     def test_readme_grid_bounded_memory(self, spec_dir):
         # The README's fig6 surface at 101 x 101: the Cauchy kernel is built
         # in cache-sized tiles and each delay is one dot product per end,
@@ -468,6 +502,17 @@ class TestCutStatistics:
 
     def test_triangle_psl_sentinel(self):
         assert peak_sidelobe(self.triangle_cut()) == float("-inf")
+
+    @pytest.mark.parametrize("axis, values", [
+        (np.array([]), np.array([])),
+        (np.zeros((2, 3)), np.ones((2, 3))),
+        (np.array(0.0), np.array(1.0)),
+    ])
+    def test_cut_must_be_non_empty_1d(self, axis, values):
+        # An empty cut made mainlobe_width and peak_sidelobe raise numpy's
+        # argmax error, and a 2-D one gave widths from a flattened index.
+        with pytest.raises(ParameterError, match="non-empty 1-D"):
+            AmbiguityCut(axis=axis, values=values)
 
     def test_invalid_level(self):
         # nan used to give WidthResult(width=nan, crossed=True).

@@ -172,6 +172,7 @@ class TestBandwidth98:
         {"tol_hz": 0.0}, {"tol_hz": -1.0}, {"tol_hz": np.nan},
         {"tol_hz": np.inf}, {"fraction": np.nan}, {"fraction": 0.0},
         {"fraction": -0.5}, {"fraction": 1.5},
+        {"tol_hz": True},  # once read as 1.0
     ])
     def test_invalid_fraction_or_tolerance(self, kwargs):
         sp = spectrum_of(generate(
@@ -233,6 +234,28 @@ class TestCarson:
         assert carson_sfm(0.0, 10.0) == pytest.approx(20.0)
         with pytest.raises(ParameterError):
             carson_sfm(200.0, 0.0)
+
+    @pytest.mark.parametrize("args", [(np.nan, 10.0), (200.0, np.inf),
+                                      (200.0, np.nan), ("200", 10.0),
+                                      (200.0, True)])
+    def test_sfm_refuses_non_finite(self, args):
+        # nan came back as a nan bandwidth.
+        with pytest.raises(ParameterError):
+            carson_sfm(*args)
+
+    @pytest.mark.parametrize("args, kwargs", [
+        ((200.0, 14.0, 2.0, np.nan), {}),
+        ((np.nan, 14.0, 2.0, 0.5), {}),
+        ((200.0, np.inf, 2.0, 0.5), {}),
+        ((200.0, 14.0, np.nan, 0.5), {}),
+        ((100.0, 10.0, 2.5, -0.5), {}),  # once the complex 100-6.25j
+        ((200.0, 14.0, 2.0, 0.0), {}),
+        ((200.0, 14.0, 2.0, 0.5), {"symmetry": "bogus"}),
+        ((200.0, 14.0, 2.0, 0.5), {"symmetry": None}),
+    ])
+    def test_gsfm_refuses_invalid_input(self, args, kwargs):
+        with pytest.raises(ParameterError):
+            carson_gsfm(*args, **kwargs)
 
     def test_gsfm_nonsymmetric_value(self):
         assert carson_gsfm(200.0, 14.0, 2.0, 0.5, "nonsymmetric") == (
@@ -330,6 +353,15 @@ class TestClosedSpectra:
                       np.array([FC, np.nan, FC + 0.1])):
             with pytest.raises(ParameterError, match="ascending"):
                 sfm_spectrum_closed(SFM_SPEC, freqs)
+
+    def test_grid_must_be_real_numbers(self):
+        # A complex grid was cut to its real part, silently.
+        grid = self.band_grid(50.0)
+        for freqs in (grid + 1j, grid.astype(str)):
+            with pytest.raises(ParameterError, match="real numbers"):
+                sfm_spectrum_closed(SFM_SPEC, freqs)
+        with pytest.raises(ParameterError, match="1-D"):
+            sfm_spectrum_closed(SFM_SPEC, grid.reshape(2, -1))
 
     def test_order_cap_refuses_before_allocating(
         self, huge_order_sfm, no_allocation

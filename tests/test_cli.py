@@ -303,6 +303,26 @@ class TestReportCsv:
         by = self.check(out, "bad")
         assert float(by["gsfm"]["e_tilde_db"]) == 0.0
 
+    def test_trw_table_without_rows_in_band(self, spec_file, tmp_path):
+        # The loader once took the ripple from the table rows inside the
+        # band itself, and with none there raised numpy's "zero-size
+        # array" error: a traceback.
+        table = tmp_path / "table.csv"
+        table.write_text("1000.0,0.0,0.0\n3000.0,-1.0,0.1\n")
+        resp = tmp_path / "resp.json"
+        resp.write_text(json.dumps({"mode": "tabulated", "f_r": 2000.0,
+                                    "band": [1500.0, 2500.0],
+                                    "table_path": str(table)}))
+        out = tmp_path / "trw.csv"
+        assert run(
+            ["trw", "--specs", spec_file(GSFM, "gsfm.json"),
+             spec_file(LFM, "lfm.json"), "--response", str(resp),
+             "--reference", "gsfm", "--out", str(out)]
+        ) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["error"] for row in rows] == ["", ""]
+
 
 class TestCompare:
     def test_auto_band_table(self, spec_file, tmp_path):
@@ -423,6 +443,11 @@ class TestTrw:
          "cannot read response table"),
         (lambda c: dict(c, mode="tabulated", table_path="blank_first.csv"),
          "row 0: expected 3 columns"),
+        (lambda c: dict(c, mode="tabulated", table_path="nan_row.csv"),
+         "response table entries must be finite"),
+        (lambda c: dict(c, mode="tabulated", table_path="two_rows.csv",
+                        equalize_to=0.1),
+         "no response table row lies in the band"),
     ])
     def test_malformed_config(self, spec_file, tmp_path, monkeypatch, capsys,
                               edit, message):
@@ -430,6 +455,10 @@ class TestTrw:
         (tmp_path / "blank_first.csv").write_text(
             "\n1000.0,0.0,0.0\n3000.0,-1.0,0.1\n"
         )
+        (tmp_path / "nan_row.csv").write_text(
+            "1000.0,0.0,0.0\n2000.0,nan,0.0\n3000.0,-1.0,0.1\n")
+        (tmp_path / "two_rows.csv").write_text(
+            "1000.0,0.0,0.0\n3000.0,-1.0,0.1\n")
         cfg = {"mode": "parametric", "f_r": 2000.0,
                "band": [1800.0, 2200.0], "ripple_db": 4.07}
         (tmp_path / "resp.json").write_text(json.dumps(edit(cfg)))

@@ -131,6 +131,15 @@ class TestGbfCoeffs:
         with pytest.raises(ParameterError):
             gbf_coeffs([])
 
+    @pytest.mark.parametrize("betas, weights", [
+        (["0.5"], None),  # once parsed as 0.5
+        ([0.5], ["1"]),
+        ([True], None),
+    ])
+    def test_betas_and_weights_must_be_numbers(self, betas, weights):
+        with pytest.raises(ParameterError, match="numbers"):
+            gbf_coeffs(betas, weights=weights)
+
     def test_getitem_out_of_range_is_zero(self):
         c = gbf_coeffs([1.0])
         assert c[c.n_max + 5] == 0.0

@@ -320,6 +320,24 @@ class TestSpectrum:
         with pytest.raises(ParameterError, match="1-D"):
             Spectrum(freqs=freqs, values=values, df=1.0)
 
+    @pytest.mark.parametrize("freqs, values", [
+        (np.arange(4.0) + 1j, np.ones(4)),
+        (np.array(["0", "1", "2", "3"]), np.ones(4)),
+        (np.arange(4.0), np.array(["1"] * 4)),
+        (np.arange(4.0), [[1.0, 2.0], [3.0]]),
+    ])
+    def test_spectrum_arrays_must_be_numbers(self, freqs, values):
+        # Complex freqs were cut to their real part, and numeric strings
+        # parsed as numbers.
+        with pytest.raises(ParameterError, match="numbers"):
+            Spectrum(freqs=freqs, values=values, df=1.0)
+
+    def test_power_db_of_a_zero_spectrum_is_the_floor(self):
+        # 0 / 0 once: a RuntimeWarning, and NaN in every bin.
+        sp = Spectrum(freqs=np.arange(4.0), values=np.zeros(4), df=1.0)
+        np.testing.assert_array_equal(sp.power_db(), np.full(4, -300.0))
+        np.testing.assert_array_equal(sp.power_db(-80.0), np.full(4, -80.0))
+
     def test_power_db_floor(self):
         sp = Spectrum(
             freqs=np.arange(3.0), values=np.array([1.0, 0.0, 1e-30]), df=1.0

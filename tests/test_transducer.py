@@ -6,6 +6,7 @@ import pytest
 from sonarwave.signal_core import ParameterError, Taper
 from sonarwave.transducer import (
     FormatError,
+    TransducerResponse,
     apply_response,
     equalize,
     load_response_table,
@@ -118,6 +119,70 @@ class TestTabulated:
         )
         with pytest.raises(FormatError):
             load_response_table(path, f_r=F_R, band=BAND)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_refused(self, tmp_path, bad):
+        # A nan magnitude once loaded as a response with ripple_db = nan.
+        for row in ((110e3, bad, 0.0), (110e3, 0.0, bad), (bad, 0.0, 0.0)):
+            path = tmp_path / "resp.csv"
+            self.write_table(path, [(90e3, 0.0, 0.0), row, (130e3, 0.0, 0.0)])
+            with pytest.raises(FormatError, match="finite"):
+                load_response_table(path, f_r=F_R, band=BAND)
+
+    def test_band_between_rows(self, tmp_path):
+        # Two rows around the band: the ripple is read from the curve
+        # across the band, where the loader's own copy of it once raised
+        # numpy's "zero-size array" error.
+        path = tmp_path / "resp.csv"
+        self.write_table(path, [(90e3, 0.0, 0.0), (130e3, -4.0, -1.0)])
+        resp = load_response_table(path, f_r=F_R, band=BAND)
+        assert resp.ripple_db == pytest.approx(2.0)
+        assert resp.ripple_db == resp.in_band_ripple()
+        with pytest.raises(FormatError, match="band"):
+            equalize(resp, 0.5)
+        assert equalize(resp, 3.0).flags == (
+            "equalize: no-op, target >= current",)
+
+    def test_empty_table(self, tmp_path):
+        path = tmp_path / "resp.csv"
+        self.write_table(path, [])
+        with pytest.raises(ParameterError, match="non-empty"):
+            load_response_table(path, f_r=F_R, band=BAND)
+
+
+class TestResponseTable:
+    """A response built directly meets the rule of one read from a file."""
+
+    FREQS = np.array([90e3, 110e3, 130e3])
+
+    def build(self, freqs=FREQS, mag_db=np.zeros(3), phase_rad=np.zeros(3)):
+        return TransducerResponse("tabulated", F_R, BAND, 0.0, freqs, mag_db,
+                                  phase_rad)
+
+    @pytest.mark.parametrize("lengths", [(3, 2, 3), (3, 3, 4), (2, 3, 3)])
+    def test_lengths_must_match(self, lengths):
+        # Mismatched lengths raised numpy's broadcast ValueError on use.
+        freqs, mag, phase = (np.linspace(90e3, 130e3, n) for n in lengths)
+        with pytest.raises(FormatError, match="equal length"):
+            self.build(freqs, mag * 0.0, phase * 0.0)
+
+    def test_one_row_refused(self):
+        # One row raised IndexError in response_at.
+        with pytest.raises(FormatError, match="at least 2 rows"):
+            self.build(self.FREQS[:1], np.zeros(1), np.zeros(1))
+
+    @pytest.mark.parametrize("freqs", [FREQS[::-1], np.array([90e3] * 3)])
+    def test_frequencies_must_ascend(self, freqs):
+        # Descending rows read -inf dB, silently.
+        with pytest.raises(FormatError, match="ascending"):
+            self.build(freqs)
+
+    def test_queries_must_be_real(self):
+        resp = self.build()
+        for query in (resp.magnitude_at, resp.response_at):
+            with pytest.raises(ParameterError, match="real numbers"):
+                query(np.array([100e3 + 1j]))
 
 
 # ----------------------------------------------------------------------
